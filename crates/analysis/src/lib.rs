@@ -22,9 +22,10 @@
 //!   scheduling of a swap plan (Equation 1 is per-gap; the link is not).
 //!
 //! Every pass above works on an in-memory [`Trace`](pinpoint_trace::Trace);
-//! the [`ati_from_store`] / [`breakdown_from_store`] / [`gantt_from_store`]
-//! / [`outliers_from_store`] twins run the same passes straight off an
-//! on-disk `.ptrc` store, one chunk at a time, with bit-identical results.
+//! [`fold_store`] runs the same passes (as folds: [`AtiFold`],
+//! [`BreakdownFold`], [`GanttFold`], [`OutlierFold`], [`PeakFold`])
+//! straight off an on-disk `.ptrc` store, one wave of chunks at a time,
+//! with bit-identical results.
 //! Under the hood both directions go through the [`FusedPipeline`] engine,
 //! which runs *any* set of passes (expressed as [`EventFold`]s) over a
 //! single decode of the trace, pruning chunks with the union of the
@@ -88,8 +89,6 @@ pub use planner::{apply, plan, SwapDecision, SwapPlan};
 pub use report::{
     query_json, query_json_into, report_json, report_json_into, RenderScratch, TraceReport,
 };
-pub use store::{
-    ati_from_store, breakdown_from_store, gantt_from_store, outliers_from_store, peak_from_store,
-};
+pub use store::fold_store;
 pub use svg::{gantt_svg, SvgConfig};
 pub use swap::{assess, SwapFeasibilityReport, SwapVerdict};

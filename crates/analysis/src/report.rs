@@ -14,7 +14,8 @@
 use crate::ati::AtiDataset;
 use crate::breakdown::BreakdownRow;
 use crate::engine::{
-    AtiFold, BreakdownFold, FoldHandle, FusedPipeline, FusedStats, GanttFold, OutlierFold, PeakFold,
+    AtiFold, BreakdownFold, FoldHandle, FusedOutputs, FusedPipeline, FusedStats, GanttFold,
+    OutlierFold, PeakFold,
 };
 use crate::gantt::GanttRect;
 use crate::outlier::{OutlierCriteria, OutlierReport};
@@ -22,8 +23,7 @@ use pinpoint_store::{ChunkMeta, ColumnBatch, QueryResult, ReadPolicy, StoreError
 use pinpoint_trace::export::{kind_name, mem_kind_name, write_event_json};
 use pinpoint_trace::{json, PeakUsage, Trace};
 use std::fmt::Write as _;
-use std::io::{self, Read, Seek};
-use std::sync::Arc;
+use std::ops::Deref;
 
 /// Every analysis pass of the paper — ATI, peak, breakdown, Gantt,
 /// outliers — computed over **one** decode of the trace by the fused
@@ -44,21 +44,18 @@ pub struct TraceReport {
     pub stats: FusedStats,
 }
 
+/// Handles of the five report folds, in registration order.
+type ReportHandles = (
+    FoldHandle<AtiDataset>,
+    FoldHandle<PeakUsage>,
+    FoldHandle<BreakdownRow>,
+    FoldHandle<Vec<GanttRect>>,
+    FoldHandle<OutlierReport>,
+);
+
 /// Builds the five-fold pipeline shared by every `TraceReport` entry
-/// point. Handles come back in registration order.
-#[allow(clippy::type_complexity)]
-fn report_pipeline(
-    criteria: OutlierCriteria,
-) -> (
-    FusedPipeline,
-    (
-        FoldHandle<AtiDataset>,
-        FoldHandle<PeakUsage>,
-        FoldHandle<BreakdownRow>,
-        FoldHandle<Vec<GanttRect>>,
-        FoldHandle<OutlierReport>,
-    ),
-) {
+/// point.
+fn report_pipeline(criteria: OutlierCriteria) -> (FusedPipeline, ReportHandles) {
     let mut pipe = FusedPipeline::new();
     let ati = pipe.register(AtiFold);
     let peak = pipe.register(PeakFold);
@@ -74,34 +71,10 @@ fn report_pipeline(
 }
 
 impl TraceReport {
-    /// Runs all five passes over a `.ptrc` store in one fused scan: each
-    /// chunk is decoded exactly once, however many passes consume it.
-    ///
-    /// # Errors
-    ///
-    /// I/O or corruption errors from the store.
-    pub fn from_store<R: Read + Seek>(
-        reader: &mut StoreReader<R>,
-        criteria: OutlierCriteria,
-        threads: usize,
-    ) -> io::Result<Self> {
-        let (pipe, (ati, peak, breakdown, gantt, outliers)) = report_pipeline(criteria);
-        let mut out = pipe.run_store(reader, threads)?;
-        Ok(TraceReport {
-            ati: out.take(ati),
-            peak: out.take(peak),
-            breakdown: out.take(breakdown),
-            gantt: out.take(gantt),
-            outliers: out.take(outliers),
-            stats: out.stats().clone(),
-        })
-    }
-
-    /// Runs all five passes over an in-memory trace in one fused scan —
-    /// bit-identical to [`TraceReport::from_store`] on the same trace.
-    pub fn from_trace(trace: &Trace, criteria: OutlierCriteria, threads: usize) -> Self {
-        let (pipe, (ati, peak, breakdown, gantt, outliers)) = report_pipeline(criteria);
-        let mut out = pipe.run_trace(trace, threads);
+    fn from_outputs(
+        mut out: FusedOutputs,
+        (ati, peak, breakdown, gantt, outliers): ReportHandles,
+    ) -> Self {
         TraceReport {
             ati: out.take(ati),
             peak: out.take(peak),
@@ -110,6 +83,36 @@ impl TraceReport {
             outliers: out.take(outliers),
             stats: out.stats().clone(),
         }
+    }
+
+    /// Runs all five passes over a `.ptrc` store in one fused scan: each
+    /// chunk is decoded exactly once (into the reader's pooled scratch),
+    /// however many passes consume it.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors; corruption errors under the reader's
+    /// [`ReadPolicy::Strict`].
+    pub fn from_store(
+        reader: &StoreReader,
+        criteria: OutlierCriteria,
+        threads: usize,
+    ) -> Result<Self, StoreError> {
+        let index = &reader.footer().chunks;
+        Self::from_chunks(
+            index,
+            criteria,
+            threads,
+            reader.policy(),
+            reader.fetch(threads),
+        )
+    }
+
+    /// Runs all five passes over an in-memory trace in one fused scan —
+    /// bit-identical to [`TraceReport::from_store`] on the same trace.
+    pub fn from_trace(trace: &Trace, criteria: OutlierCriteria, threads: usize) -> Self {
+        let (pipe, handles) = report_pipeline(criteria);
+        Self::from_outputs(pipe.run_trace(trace, threads), handles)
     }
 
     /// Runs all five passes over an externally supplied chunk set via
@@ -121,9 +124,9 @@ impl TraceReport {
     ///
     /// # Errors
     ///
-    /// I/O errors from `fetch` always; corruption errors under
-    /// [`ReadPolicy::Strict`].
-    pub fn from_chunks<F>(
+    /// I/O errors and cancellation from `fetch` always; corruption
+    /// errors under [`ReadPolicy::Strict`].
+    pub fn from_chunks<D, F>(
         index: &[ChunkMeta],
         criteria: OutlierCriteria,
         threads: usize,
@@ -131,18 +134,12 @@ impl TraceReport {
         fetch: F,
     ) -> Result<Self, StoreError>
     where
-        F: Fn(usize, &ChunkMeta) -> Result<Arc<ColumnBatch>, StoreError> + Sync,
+        D: Deref<Target = ColumnBatch>,
+        F: Fn(usize, &ChunkMeta) -> Result<D, StoreError> + Sync,
     {
-        let (pipe, (ati, peak, breakdown, gantt, outliers)) = report_pipeline(criteria);
-        let mut out = pipe.run_chunks(index, threads, policy, fetch)?;
-        Ok(TraceReport {
-            ati: out.take(ati),
-            peak: out.take(peak),
-            breakdown: out.take(breakdown),
-            gantt: out.take(gantt),
-            outliers: out.take(outliers),
-            stats: out.stats().clone(),
-        })
+        let (pipe, handles) = report_pipeline(criteria);
+        let out = pipe.run_chunks(index, threads, policy, fetch)?;
+        Ok(Self::from_outputs(out, handles))
     }
 }
 
@@ -403,9 +400,9 @@ mod tests {
         let t = sample_trace();
         let mut bytes = Vec::new();
         write_store_chunked(&t, &mut bytes, 16).unwrap();
-        let mut r = StoreReader::new(std::io::Cursor::new(bytes.clone())).unwrap();
-        let want = TraceReport::from_store(&mut r, criteria(), 1).unwrap();
-        let shared = pinpoint_store::SharedStoreReader::from_bytes(bytes).unwrap();
+        let r = StoreReader::new(bytes.clone()).unwrap();
+        let want = TraceReport::from_store(&r, criteria(), 1).unwrap();
+        let shared = StoreReader::new(bytes).unwrap();
         let index = shared.footer().chunks.clone();
         for threads in [1, 4] {
             let got = TraceReport::from_chunks(
@@ -413,7 +410,7 @@ mod tests {
                 criteria(),
                 threads,
                 ReadPolicy::Strict,
-                |i, _| shared.decode_chunk(i).map(Arc::new),
+                |i, _| shared.decode_chunk(i).map(std::sync::Arc::new),
             )
             .unwrap();
             assert_eq!(report_json(&got, 30), report_json(&want, 30), "t={threads}");
@@ -439,7 +436,7 @@ mod tests {
         let d = TraceReport::from_trace(&t, criteria(), 1);
         let mut bytes = Vec::new();
         write_store_chunked(&t, &mut bytes, 16).unwrap();
-        let mut r = StoreReader::new(std::io::Cursor::new(bytes)).unwrap();
+        let r = StoreReader::new(bytes).unwrap();
         let q = r.query(&Predicate::any(), 1).unwrap();
         let mut scratch = RenderScratch::new();
         assert_eq!(scratch.report(&d, 5), report_json(&d, 5));
@@ -459,7 +456,7 @@ mod tests {
         let t = sample_trace();
         let mut bytes = Vec::new();
         write_store_chunked(&t, &mut bytes, 16).unwrap();
-        let mut r = StoreReader::new(std::io::Cursor::new(bytes)).unwrap();
+        let r = StoreReader::new(bytes).unwrap();
         let q = r
             .query(&Predicate::any().with_kind(EventKind::Free), 1)
             .unwrap();

@@ -1,105 +1,42 @@
-//! From-store analysis entry points: run the paper's passes directly off a
-//! `.ptrc` trace store, one chunk resident at a time.
-//!
-//! Every function here is a thin wrapper over the fused engine
-//! ([`crate::FusedPipeline`]) with a single fold registered, so results
-//! are bit-identical to materializing the trace first — the cross-format
-//! equivalence tests assert as much — while never holding more than the
-//! in-flight chunks of events. To run *several* passes over **one**
-//! decode of the store, build a pipeline and register the folds
-//! yourself.
+//! Single-fold analysis straight off a `.ptrc` trace store. To run
+//! *several* passes over **one** decode of the store, register them on
+//! one [`FusedPipeline`] and call [`FusedPipeline::run_chunks`] yourself.
 
-use crate::ati::AtiDataset;
-use crate::breakdown::BreakdownRow;
-use crate::engine::{AtiFold, BreakdownFold, FusedPipeline, GanttFold, OutlierFold, PeakFold};
-use crate::gantt::GanttRect;
-use crate::outlier::{OutlierCriteria, OutlierReport};
-use pinpoint_parallel::configured_threads;
-use pinpoint_store::StoreReader;
-use pinpoint_trace::PeakUsage;
-use std::io::{self, Read, Seek};
+use crate::engine::{EventFold, FusedPipeline};
+use pinpoint_store::{StoreError, StoreReader};
 
-/// Extracts every ATI from a store — the streaming twin of
-/// [`AtiDataset::from_trace`]. Keeps O(blocks) state plus the extracted
-/// records, never every access of every block.
+/// Runs `fold` alone over every chunk of `reader` its predicate does not
+/// prune, on `threads` worker threads — the streaming twin of the fold's
+/// in-memory pass (e.g. [`crate::AtiFold`] of
+/// [`AtiDataset::from_trace`](crate::AtiDataset::from_trace)).
 ///
 /// # Errors
 ///
-/// I/O or corruption errors from the store.
-pub fn ati_from_store<R: Read + Seek>(reader: &mut StoreReader<R>) -> io::Result<AtiDataset> {
+/// I/O or corruption errors from the store (corruption only under
+/// [`ReadPolicy::Strict`](pinpoint_store::ReadPolicy::Strict)).
+pub fn fold_store<F: EventFold + 'static>(
+    reader: &StoreReader,
+    fold: F,
+    threads: usize,
+) -> Result<F::Output, StoreError> {
     let mut pipe = FusedPipeline::new();
-    let h = pipe.register(AtiFold);
-    Ok(pipe.run_store(reader, configured_threads())?.take(h))
-}
-
-/// Computes the peak-footprint split from a store — the streaming twin of
-/// `Trace::peak_live_bytes()`.
-///
-/// # Errors
-///
-/// I/O or corruption errors from the store.
-pub fn peak_from_store<R: Read + Seek>(reader: &mut StoreReader<R>) -> io::Result<PeakUsage> {
-    let mut pipe = FusedPipeline::new();
-    let h = pipe.register(PeakFold);
-    Ok(pipe.run_store(reader, configured_threads())?.take(h))
-}
-
-/// Computes a breakdown-figure row from a store — the streaming twin of
-/// [`BreakdownRow::from_trace`].
-///
-/// # Errors
-///
-/// I/O or corruption errors from the store.
-pub fn breakdown_from_store<R: Read + Seek>(
-    label: impl Into<String>,
-    reader: &mut StoreReader<R>,
-) -> io::Result<BreakdownRow> {
-    let mut pipe = FusedPipeline::new();
-    let h = pipe.register(BreakdownFold {
-        label: label.into(),
-    });
-    Ok(pipe.run_store(reader, configured_threads())?.take(h))
-}
-
-/// Extracts Gantt rectangles intersecting `[t_start, t_end]` from a store —
-/// the streaming twin of [`crate::gantt_rects`].
-///
-/// # Errors
-///
-/// I/O or corruption errors from the store.
-pub fn gantt_from_store<R: Read + Seek>(
-    reader: &mut StoreReader<R>,
-    t_start: u64,
-    t_end: u64,
-) -> io::Result<Vec<GanttRect>> {
-    let mut pipe = FusedPipeline::new();
-    let h = pipe.register(GanttFold { t_start, t_end });
-    Ok(pipe.run_store(reader, configured_threads())?.take(h))
-}
-
-/// Sifts a store's ATI dataset for Fig. 4 outliers — the streaming twin of
-/// [`AtiDataset::from_trace`] + [`crate::sift`].
-///
-/// # Errors
-///
-/// I/O or corruption errors from the store.
-pub fn outliers_from_store<R: Read + Seek>(
-    reader: &mut StoreReader<R>,
-    criteria: OutlierCriteria,
-) -> io::Result<OutlierReport> {
-    let mut pipe = FusedPipeline::new();
-    let h = pipe.register(OutlierFold { criteria });
-    Ok(pipe.run_store(reader, configured_threads())?.take(h))
+    let h = pipe.register(fold);
+    let index = &reader.footer().chunks;
+    let mut out = pipe.run_chunks(index, threads, reader.policy(), reader.fetch(threads))?;
+    Ok(out.take(h))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ati::AtiDataset;
+    use crate::breakdown::BreakdownRow;
+    use crate::engine::{AtiFold, BreakdownFold, GanttFold, OutlierFold, PeakFold};
     use crate::gantt_rects;
-    use crate::outlier::sift;
+    use crate::outlier::{sift, OutlierCriteria};
+    use pinpoint_parallel::configured_threads;
     use pinpoint_store::write_store_chunked;
     use pinpoint_trace::{BlockId, EventKind, MemoryKind, Trace};
-    use std::io::Cursor;
 
     fn busy_trace() -> Trace {
         let mut t = Trace::new();
@@ -160,26 +97,37 @@ mod tests {
         t
     }
 
-    fn store_of(t: &Trace) -> StoreReader<Cursor<Vec<u8>>> {
+    fn store_of(t: &Trace) -> StoreReader {
         let mut bytes = Vec::new();
         write_store_chunked(t, &mut bytes, 32).unwrap();
-        StoreReader::new(Cursor::new(bytes)).unwrap()
+        StoreReader::new(bytes).unwrap()
     }
 
     #[test]
     fn ati_matches_in_memory_bit_for_bit() {
         let t = busy_trace();
-        let mut r = store_of(&t);
-        assert_eq!(ati_from_store(&mut r).unwrap(), AtiDataset::from_trace(&t));
+        let r = store_of(&t);
+        assert_eq!(
+            fold_store(&r, AtiFold, configured_threads()).unwrap(),
+            AtiDataset::from_trace(&t)
+        );
     }
 
     #[test]
     fn peak_and_breakdown_match_in_memory() {
         let t = busy_trace();
-        let mut r = store_of(&t);
-        assert_eq!(peak_from_store(&mut r).unwrap(), t.peak_live_bytes());
+        let r = store_of(&t);
         assert_eq!(
-            breakdown_from_store("w", &mut r).unwrap(),
+            fold_store(&r, PeakFold, configured_threads()).unwrap(),
+            t.peak_live_bytes()
+        );
+        assert_eq!(
+            fold_store(
+                &r,
+                BreakdownFold { label: "w".into() },
+                configured_threads()
+            )
+            .unwrap(),
             BreakdownRow::from_trace("w", &t)
         );
     }
@@ -187,15 +135,31 @@ mod tests {
     #[test]
     fn gantt_matches_in_memory() {
         let t = busy_trace();
-        let mut r = store_of(&t);
+        let r = store_of(&t);
         let end = t.end_time_ns();
         assert_eq!(
-            gantt_from_store(&mut r, 0, end).unwrap(),
+            fold_store(
+                &r,
+                GanttFold {
+                    t_start: 0,
+                    t_end: end
+                },
+                configured_threads()
+            )
+            .unwrap(),
             gantt_rects(&t, 0, end)
         );
         // a window, too
         assert_eq!(
-            gantt_from_store(&mut r, end / 3, end / 2).unwrap(),
+            fold_store(
+                &r,
+                GanttFold {
+                    t_start: end / 3,
+                    t_end: end / 2
+                },
+                configured_threads()
+            )
+            .unwrap(),
             gantt_rects(&t, end / 3, end / 2)
         );
     }
@@ -203,13 +167,13 @@ mod tests {
     #[test]
     fn outliers_match_in_memory() {
         let t = busy_trace();
-        let mut r = store_of(&t);
+        let r = store_of(&t);
         let criteria = OutlierCriteria {
             min_ati_ns: 10,
             min_size_bytes: 20_000,
         };
         assert_eq!(
-            outliers_from_store(&mut r, criteria).unwrap(),
+            fold_store(&r, OutlierFold { criteria }, configured_threads()).unwrap(),
             sift(&AtiDataset::from_trace(&t), criteria)
         );
     }
@@ -245,10 +209,12 @@ mod tests {
             );
             time += 5;
         }
-        let mut r = store_of(&t);
+        let r = store_of(&t);
         let mut pipe = FusedPipeline::new();
         let h = pipe.register(PeakFold);
-        let mut out = pipe.run_store(&mut r, 1).unwrap();
+        let mut out = pipe
+            .run_chunks(&r.footer().chunks, 1, r.policy(), r.fetch(1))
+            .unwrap();
         assert_eq!(out.take(h), t.peak_live_bytes());
         let stats = out.stats();
         assert!(

@@ -38,7 +38,6 @@ use pinpoint_models::{Architecture, ResNetDepth};
 use pinpoint_obs::tracer;
 use pinpoint_store::{write_store_chunked, write_store_chunked_v2, StoreReader};
 use pinpoint_trace::{PeakUsage, Trace};
-use std::io::Cursor;
 use std::time::Instant;
 
 const CRITERIA: OutlierCriteria = OutlierCriteria {
@@ -83,8 +82,10 @@ struct Report {
 fn sequential_five_pass(bytes: &[u8], t_end: u64, threads: usize) -> (Report, usize) {
     let mut decoded = 0usize;
     let mut one = |pipe: FusedPipeline| {
-        let mut r = StoreReader::new(Cursor::new(bytes.to_vec())).expect("open");
-        let out = pipe.run_store(&mut r, threads).expect("run");
+        let r = StoreReader::new(bytes.to_vec()).expect("open");
+        let out = pipe
+            .run_chunks(&r.footer().chunks, threads, r.policy(), r.fetch(threads))
+            .expect("run");
         decoded += out.stats().chunks_decoded;
         out
     };
@@ -131,8 +132,10 @@ fn fused_five_fold(bytes: &[u8], t_end: u64, threads: usize) -> (Report, usize, 
     });
     let gantt = pipe.register(GanttFold { t_start: 0, t_end });
     let outliers = pipe.register(OutlierFold { criteria: CRITERIA });
-    let mut r = StoreReader::new(Cursor::new(bytes.to_vec())).expect("open");
-    let mut out = pipe.run_store(&mut r, threads).expect("run");
+    let r = StoreReader::new(bytes.to_vec()).expect("open");
+    let mut out = pipe
+        .run_chunks(&r.footer().chunks, threads, r.policy(), r.fetch(threads))
+        .expect("run");
     let decoded = out.stats().chunks_decoded;
     let pruned_by_label = out.stats().chunks_pruned_by_label;
     (
@@ -160,9 +163,7 @@ fn bench(c: &mut Criterion) {
     write_store_chunked(&trace, &mut bytes, 512).expect("encode");
     let mut v2_bytes = Vec::new();
     write_store_chunked_v2(&trace, &mut v2_bytes, 512).expect("encode v2");
-    let chunks = StoreReader::new(Cursor::new(bytes.clone()))
-        .expect("open")
-        .num_chunks();
+    let chunks = StoreReader::new(bytes.clone()).expect("open").num_chunks();
     assert!(chunks > 1, "trace must span several chunks, got {chunks}");
 
     // recorded fused_ns baseline per thread count from the previous run
@@ -199,16 +200,18 @@ fn bench(c: &mut Criterion) {
     // five-fold twice must not grow its decode scratch pool the second
     // time (the per-chunk zero-alloc contract the obs spans ride on)
     {
-        let mut r = StoreReader::new(Cursor::new(bytes.clone())).expect("open");
-        let run = |r: &mut StoreReader<Cursor<Vec<u8>>>| {
+        let r = StoreReader::new(bytes.clone()).expect("open");
+        let run = |r: &StoreReader| {
             let mut pipe = FusedPipeline::new();
             let h = pipe.register(AtiFold);
-            let mut out = pipe.run_store(r, 4).expect("run");
+            let mut out = pipe
+                .run_chunks(&r.footer().chunks, 4, r.policy(), r.fetch(4))
+                .expect("run");
             out.take(h).len()
         };
-        let cold = run(&mut r);
+        let cold = run(&r);
         let warmed = r.decode_reallocs();
-        let warm = run(&mut r);
+        let warm = run(&r);
         assert_eq!(cold, warm);
         assert_eq!(
             r.decode_reallocs(),

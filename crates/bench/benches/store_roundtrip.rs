@@ -22,7 +22,6 @@ use pinpoint_store::{
 };
 use pinpoint_trace::export::json_string;
 use pinpoint_trace::Trace;
-use std::io::Cursor;
 use std::time::Instant;
 
 fn median_ns(runs: usize, mut f: impl FnMut()) -> u128 {
@@ -61,7 +60,7 @@ fn bench(c: &mut Criterion) {
         "ResNet-18 .ptrc must be >=5x smaller than JSON, got {ratio:.2}x"
     );
 
-    let mut reader = StoreReader::new(Cursor::new(store_bytes.clone())).expect("open");
+    let reader = StoreReader::new(store_bytes.clone()).expect("open");
     let decoded = reader.read_trace().expect("decode");
     assert_eq!(decoded, trace, "round trip must be lossless");
 
@@ -71,12 +70,12 @@ fn bench(c: &mut Criterion) {
         assert_eq!(out.len(), store_bytes.len());
     });
     let decode_ns = median_ns(runs, || {
-        let mut r = StoreReader::new(Cursor::new(store_bytes.clone())).expect("open");
+        let r = StoreReader::new(store_bytes.clone()).expect("open");
         assert_eq!(r.read_trace().expect("decode").len(), events);
     });
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let query_ns = median_ns(runs, || {
-        let mut r = StoreReader::new(Cursor::new(store_bytes.clone())).expect("open");
+        let r = StoreReader::new(store_bytes.clone()).expect("open");
         let q = r.query(&Predicate::any(), cores).expect("query");
         assert_eq!(q.events.len(), events);
     });
@@ -92,10 +91,10 @@ fn bench(c: &mut Criterion) {
         store_bytes.len(),
         v2_bytes.len()
     );
-    let mut r = StoreReader::new(Cursor::new(v2_bytes.clone())).expect("open v2");
+    let r = StoreReader::new(v2_bytes.clone()).expect("open v2");
     assert_eq!(r.read_trace().expect("decode v2"), trace, "v2 lossless");
     let v2_decode_ns = median_ns(runs, || {
-        let mut r = StoreReader::new(Cursor::new(v2_bytes.clone())).expect("open");
+        let r = StoreReader::new(v2_bytes.clone()).expect("open");
         assert_eq!(r.read_trace().expect("decode").len(), events);
     });
     assert!(
@@ -147,8 +146,8 @@ fn bench(c: &mut Criterion) {
     });
     g.bench_function("decode_resnet18", |b| {
         b.iter(|| {
-            StoreReader::new(Cursor::new(store_bytes.clone()))
-                .and_then(|mut r| r.read_trace())
+            StoreReader::new(store_bytes.clone())
+                .and_then(|r| r.read_trace())
                 .expect("decode")
         })
     });

@@ -74,13 +74,13 @@
 //! `mlp_case_study` example writes a CSV twin next to it).
 
 use pinpoint_analysis::{
-    ati_from_store, breakdown_from_store, detect, diff_traces, gantt_from_store, gantt_rects,
-    op_stats, outliers_from_store, plan, query_json, report_json, sift, violin_sorted, AtiDataset,
-    BreakdownRow, GanttRect, OutlierCriteria, OutlierReport,
+    detect, diff_traces, fold_store, gantt_rects, op_stats, plan, query_json, report_json, sift,
+    violin_sorted, AtiDataset, AtiFold, BreakdownFold, BreakdownRow, GanttFold, GanttRect,
+    OutlierCriteria, OutlierFold, OutlierReport,
 };
 use pinpoint_core::report::{human_bytes, human_time, render_trace_report, TraceReport};
 use pinpoint_device::TransferModel;
-use pinpoint_store::{Predicate, ReadPolicy, StoreReader, StoreWriter};
+use pinpoint_store::{Predicate, ReadPolicy, StoreError, StoreReader, StoreWriter};
 use pinpoint_trace::export::read_json;
 use pinpoint_trace::{Category, EventKind, Trace, TraceSink};
 use std::fs::File;
@@ -171,7 +171,7 @@ fn is_store(path: &str) -> Result<bool, String> {
 fn load(path: &str) -> Result<Trace, String> {
     let trace = if is_store(path)? {
         StoreReader::open(path)
-            .and_then(|mut r| r.read_trace())
+            .and_then(|r| r.read_trace())
             .map_err(|e| format!("cannot read store {path}: {e}"))?
     } else {
         let f = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
@@ -307,22 +307,28 @@ fn print_gantt(rects: &[GanttRect], max: usize) {
 /// materialization, byte-identical output to the JSON path.
 fn cmd_store_analysis(cmd: &str, path: &str, args: &[String]) -> Result<(), String> {
     let obs = obs_flags(args);
-    let mut reader = open_store(path)?;
-    let fail = |e: std::io::Error| format!("cannot analyze store {path}: {e}");
+    let reader = open_store(path)?;
+    let threads = pinpoint_core::parallel::configured_threads();
+    let fail = |e: StoreError| format!("cannot analyze store {path}: {e}");
     match cmd {
-        "ati" => print_ati(&ati_from_store(&mut reader).map_err(fail)?),
-        "breakdown" => print_breakdown(&breakdown_from_store(path, &mut reader).map_err(fail)?),
+        "ati" => print_ati(&fold_store(&reader, AtiFold, threads).map_err(fail)?),
+        "breakdown" => {
+            let label = path.to_string();
+            let row = fold_store(&reader, BreakdownFold { label }, threads).map_err(fail)?;
+            print_breakdown(&row);
+        }
         "gantt" => {
             let max = flag_value(args, "--max").unwrap_or(30.0) as usize;
-            print_gantt(
-                &gantt_from_store(&mut reader, 0, u64::MAX).map_err(fail)?,
-                max,
-            );
+            let all = GanttFold {
+                t_start: 0,
+                t_end: u64::MAX,
+            };
+            print_gantt(&fold_store(&reader, all, threads).map_err(fail)?, max);
         }
         "outliers" => {
             let (min_ati_ms, min_size_mb, criteria) = outlier_flags(args);
             print_outliers(
-                &outliers_from_store(&mut reader, criteria).map_err(fail)?,
+                &fold_store(&reader, OutlierFold { criteria }, threads).map_err(fail)?,
                 min_ati_ms,
                 min_size_mb,
             );
@@ -330,12 +336,7 @@ fn cmd_store_analysis(cmd: &str, path: &str, args: &[String]) -> Result<(), Stri
         "report" => {
             let (_, _, criteria) = outlier_flags(args);
             let max = flag_value(args, "--max").unwrap_or(30.0) as usize;
-            let d = TraceReport::from_store(
-                &mut reader,
-                criteria,
-                pinpoint_core::parallel::configured_threads(),
-            )
-            .map_err(fail)?;
+            let d = TraceReport::from_store(&reader, criteria, threads).map_err(fail)?;
             if args.iter().any(|a| a == "--json") {
                 println!("{}", report_json(&d, max));
             } else {
@@ -349,7 +350,7 @@ fn cmd_store_analysis(cmd: &str, path: &str, args: &[String]) -> Result<(), Stri
 
 fn cmd_convert(input: &str, output: &str) -> Result<(), String> {
     if is_store(input)? {
-        let mut reader = open_store(input)?;
+        let reader = open_store(input)?;
         if output.ends_with(".ptrc") {
             // store -> store: format upgrade (e.g. a v1/v2 file rewritten
             // as v3 with adaptive column encodings and fine zone maps)
@@ -402,7 +403,7 @@ fn cmd_scrub(input: &str, output: &str) -> Result<(), String> {
     if !is_store(input)? {
         return Err(format!("{input} is not a .ptrc store"));
     }
-    let mut reader = StoreReader::open_with_policy(input, ReadPolicy::Salvage)
+    let reader = StoreReader::open_with_policy(input, ReadPolicy::Salvage)
         .map_err(|e| format!("cannot open store {input}: {e}"))?;
     if let Some(s) = reader.salvage_summary() {
         println!(
@@ -442,7 +443,7 @@ fn cmd_scrub(input: &str, output: &str) -> Result<(), String> {
 /// `info --verify`: full-store integrity check, `Err` (nonzero exit) on
 /// any damage so scripts can gate on it.
 fn verify_store(path: &str) -> Result<(), String> {
-    let mut reader = StoreReader::open_with_policy(path, ReadPolicy::Salvage)
+    let reader = StoreReader::open_with_policy(path, ReadPolicy::Salvage)
         .map_err(|e| format!("cannot open store {path}: {e}"))?;
     let rescued = reader.salvage_summary().map(|s| s.reason.clone());
     let faults = reader
@@ -478,8 +479,8 @@ fn cmd_info(path: &str, verify: bool) -> Result<(), String> {
     if verify {
         return verify_store(path);
     }
-    let mut reader = open_store(path)?;
-    let footer = reader.footer().clone();
+    let reader = open_store(path)?;
+    let footer = reader.footer();
     let file_len = reader.file_len();
     let data_bytes: u64 = footer.chunks.iter().map(|c| c.byte_len).sum();
     println!(
@@ -518,7 +519,7 @@ fn cmd_info(path: &str, verify: bool) -> Result<(), String> {
 
 fn cmd_query(path: &str, args: &[String]) -> Result<(), String> {
     let obs = obs_flags(args);
-    let mut reader = open_store(path)?;
+    let reader = open_store(path)?;
     let mut pred = Predicate::any();
     let t0 = flag_value(args, "--t0-us");
     let t1 = flag_value(args, "--t1-us");

@@ -213,11 +213,11 @@ impl ChunkCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pinpoint_store::{write_store_chunked, SharedStoreReader};
+    use pinpoint_store::{write_store_chunked, StoreReader};
     use pinpoint_trace::{BlockId, EventKind, MemoryKind, Trace};
 
     /// A store with 8 equally sized chunks of 64 events each.
-    fn fixture() -> SharedStoreReader {
+    fn fixture() -> StoreReader {
         let mut t = Trace::new();
         for i in 0..512u64 {
             t.record(
@@ -232,7 +232,7 @@ mod tests {
         }
         let mut bytes = Vec::new();
         write_store_chunked(&t, &mut bytes, 64).unwrap();
-        SharedStoreReader::from_bytes(bytes).unwrap()
+        StoreReader::new(bytes).unwrap()
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! Every admitted request gets a [`Deadline`]: an absolute point on the
 //! tracer clock by which the daemon must have answered. The deadline is
-//! threaded from accept through parse → catalog lookup → the fused
-//! chunk fold, where it becomes a
+//! threaded from accept through parse → catalog lookup → the chunk
+//! fetch of the fold, where it becomes a
 //! [`CancelToken`](pinpoint_store::CancelToken) polled before every
-//! chunk decode — so a doomed scan stops mid-store and the worker
+//! chunk lookup — so a doomed scan stops mid-store and the worker
 //! answers a deterministic `503` with `Retry-After` instead of finishing
 //! work whose client has already given up.
 //!
@@ -61,8 +61,8 @@ impl Deadline {
         self.at_ns != u64::MAX && tracer().now_ns() >= self.at_ns
     }
 
-    /// A [`CancelToken`] view of this deadline, polled by scan loops
-    /// before each chunk decode.
+    /// A [`CancelToken`] view of this deadline, polled by the request's
+    /// chunk fetch before each chunk.
     pub fn cancel_token(&self) -> CancelToken {
         if self.at_ns == u64::MAX {
             return CancelToken::never();

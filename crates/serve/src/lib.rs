@@ -41,7 +41,7 @@
 //! - **Resilience** ([`deadline`], [`breaker`], [`server`]) — every
 //!   request carries a deadline budget that becomes a cooperative
 //!   [`CancelToken`](pinpoint_store::CancelToken) inside the chunk
-//!   fold (doomed scans answer a deterministic `503 Retry-After`);
+//!   fetch (doomed scans answer a deterministic `503 Retry-After`);
 //!   handler panics are contained to stable `500`s by an unwind guard
 //!   and dead workers are respawned by a watchdog; each store has a
 //!   deterministic count-based circuit breaker; and `POST /shutdown`
@@ -223,7 +223,7 @@ mod tests {
         assert_eq!(status, 200);
         assert!(head.contains("X-Pinpoint-Chunks-Skipped: 0"), "{head}");
         assert!(head.contains("ETag: \"g"), "{head}");
-        let mut reader = pinpoint_store::StoreReader::open(dir.join("mlp.ptrc")).unwrap();
+        let reader = pinpoint_store::StoreReader::open(dir.join("mlp.ptrc")).unwrap();
         let pred = pinpoint_store::Predicate::any().with_kind(pinpoint_trace::EventKind::Free);
         let want = pinpoint_analysis::query_json(&reader.query(&pred, 1).unwrap(), 5);
         assert_eq!(body, want);
@@ -237,7 +237,7 @@ mod tests {
         assert_eq!(cold, warm);
         let want = pinpoint_analysis::report_json(
             &pinpoint_analysis::TraceReport::from_store(
-                &mut reader,
+                &reader,
                 pinpoint_analysis::OutlierCriteria {
                     min_ati_ns: (800.0f64 * 1e6) as u64,
                     min_size_bytes: (600.0f64 * 1e6) as usize,

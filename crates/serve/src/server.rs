@@ -62,7 +62,9 @@ use crate::metrics::{Endpoint, Metrics};
 use crate::result_cache::{etag, if_none_match, CachedResult, ResultCache};
 use pinpoint_analysis::{OutlierCriteria, RenderScratch, TraceReport};
 use pinpoint_obs::{tracer, SpanGuard, NO_ARG};
-use pinpoint_store::{CancelToken, Predicate, QueryResult, ReadPolicy, StoreError};
+use pinpoint_store::{
+    query_chunks, ChunkMeta, ColumnBatch, Predicate, QueryStats, ReadPolicy, StoreError,
+};
 use pinpoint_trace::json::{self, Json};
 use pinpoint_trace::{Category, EventKind};
 use std::collections::VecDeque;
@@ -995,53 +997,74 @@ fn predicate_from_body(body: Option<&Json>, entry: &StoreEntry) -> Result<Predic
     Ok(pred)
 }
 
-/// Runs a predicate query through the chunk cache, folding per-chunk
-/// verdicts in file order — byte-identical to `StoreReader::query` on the
-/// same bytes, whatever mix of cache hits serves the chunks. The cancel
-/// token is polled before each chunk's decode; a fired token surfaces
-/// as [`StoreError::Cancelled`] (which salvage never swallows).
-fn cached_query(
-    shared: &Shared,
-    entry: &StoreEntry,
-    pred: &Predicate,
-    cancel: &CancelToken,
-) -> Result<QueryResult, StoreError> {
-    let (candidates, mut stats) = entry.reader.prune(pred);
-    let pred = *pred;
-    let mapped = pinpoint_parallel::map_ordered(candidates, shared.config.request_threads, |i| {
-        if cancel.is_cancelled() {
-            return (i, Err(StoreError::Cancelled));
-        }
-        let _chunk_span = tracer().span_with("serve.chunk", i as u64);
-        let res = shared
+/// The daemon's chunk fetch for one request: a chunk-cache lookup that
+/// decodes on miss, after polling the request's deadline — a spent
+/// deadline surfaces as [`StoreError::Cancelled`], which salvage never
+/// swallows, so a doomed scan stops at the next chunk.
+fn cache_fetch<'a>(
+    shared: &'a Shared,
+    entry: &'a StoreEntry,
+    deadline: Deadline,
+) -> impl Fn(usize, &ChunkMeta) -> Result<Arc<ColumnBatch>, StoreError> + Sync + 'a {
+    let cancel = deadline.cancel_token();
+    move |i, _| {
+        cancel.check()?;
+        shared
             .cache
             .get_or_decode(entry.id, i, || entry.reader.decode_chunk(i))
-            .map(|batch| {
-                (0..batch.len())
-                    .map(|k| batch.event(k))
-                    .filter(|e| pred.matches_event(e))
-                    .collect::<Vec<_>>()
-            });
-        (i, res)
-    });
-    let mut events = Vec::new();
-    for (i, res) in mapped {
-        match res {
-            Ok(matched) => {
-                stats.chunks_decoded += 1;
-                events.extend(matched);
-            }
-            Err(e) if e.is_corruption() => {
-                stats.chunks_skipped += 1;
-                stats.events_lost += entry.reader.footer().chunks[i].count;
-                if stats.first_error.is_none() {
-                    stats.first_error = Some(e.to_string());
-                }
-            }
-            Err(e) => return Err(e),
-        }
     }
-    Ok(QueryResult { events, stats })
+}
+
+/// The shared tail of the store-reading endpoints, once the request's
+/// parameters are parsed into the canonical cache key `params`: answer
+/// from `If-None-Match` or the result cache when possible; otherwise run
+/// `fold` (which stamps `serve.fold` and returns the rendered body with
+/// its scan accounting) and cache what it rendered.
+#[allow(clippy::too_many_arguments)]
+fn answer_from_store(
+    shared: &Shared,
+    entry: &StoreEntry,
+    req: &Request,
+    deadline: Deadline,
+    mut timer: StageTimer,
+    params: &str,
+    what: &str,
+    fold: impl FnOnce(&mut StageTimer) -> Result<(Arc<[u8]>, QueryStats), StoreError>,
+) -> Response {
+    timer.stage("serve.parse");
+    let tag = etag(entry.generation, params);
+    if let Some(resp) = not_modified(shared, req, &tag) {
+        timer.stage("serve.lookup");
+        return resp.with_header("X-Pinpoint-Timing", timer.header_value());
+    }
+    if let Some(hit) = shared.results.get(&entry.name, params, entry.generation) {
+        timer.stage("serve.lookup");
+        return ok_with_result(&hit).with_header("X-Pinpoint-Timing", timer.header_value());
+    }
+    timer.stage("serve.lookup");
+    // checkpoint before the fold: don't start work that cannot finish
+    if deadline.exceeded() {
+        return deadline_response(shared, deadline);
+    }
+    match fold(&mut timer) {
+        Ok((body, stats)) => {
+            let result = CachedResult {
+                body,
+                etag: tag,
+                chunks_skipped: stats.chunks_skipped as u64,
+                events_lost: stats.events_lost,
+            };
+            timer.stage("serve.render");
+            let resp =
+                ok_with_result(&result).with_header("X-Pinpoint-Timing", timer.header_value());
+            shared
+                .results
+                .insert(&entry.name, params, entry.generation, result);
+            resp
+        }
+        Err(StoreError::Cancelled) => deadline_response(shared, deadline),
+        Err(e) => Response::new(500).with_json_body(error_body(&format!("{what} failed: {e}"))),
+    }
 }
 
 /// Builds the 200 response for a cached (or just-rendered) result:
@@ -1125,7 +1148,7 @@ fn handle_query(
     deadline: Deadline,
 ) -> Response {
     shared.metrics.queries.inc();
-    let mut timer = StageTimer::start();
+    let timer = StageTimer::start();
     let body = match parse_body(req) {
         Ok(b) => b,
         Err(resp) => return resp,
@@ -1141,42 +1164,26 @@ fn handle_query(
     // canonical cache key: requests that differ only in body spelling
     // (field order, whitespace, label name vs id) collapse to one entry
     let params = format!("query|{pred:?}|max={max}");
-    timer.stage("serve.parse");
-    let tag = etag(entry.generation, &params);
-    if let Some(resp) = not_modified(shared, req, &tag) {
-        timer.stage("serve.lookup");
-        return resp.with_header("X-Pinpoint-Timing", timer.header_value());
-    }
-    if let Some(hit) = shared.results.get(&entry.name, &params, entry.generation) {
-        timer.stage("serve.lookup");
-        return ok_with_result(&hit).with_header("X-Pinpoint-Timing", timer.header_value());
-    }
-    timer.stage("serve.lookup");
-    // checkpoint before the fold: don't start work that cannot finish
-    if deadline.exceeded() {
-        return deadline_response(shared, deadline);
-    }
-    let cancel = deadline.cancel_token();
-    match cached_query(shared, entry, &pred, &cancel) {
-        Ok(q) => {
+    answer_from_store(
+        shared,
+        entry,
+        req,
+        deadline,
+        timer,
+        &params,
+        "query",
+        |timer| {
+            let q = query_chunks(
+                &entry.reader.footer().chunks,
+                &pred,
+                shared.config.request_threads,
+                ReadPolicy::Salvage,
+                cache_fetch(shared, entry, deadline),
+            )?;
             timer.stage("serve.fold");
-            let result = CachedResult {
-                body: Arc::from(render.query(&q, max).as_bytes()),
-                etag: tag,
-                chunks_skipped: q.stats.chunks_skipped as u64,
-                events_lost: q.stats.events_lost,
-            };
-            timer.stage("serve.render");
-            let resp =
-                ok_with_result(&result).with_header("X-Pinpoint-Timing", timer.header_value());
-            shared
-                .results
-                .insert(&entry.name, &params, entry.generation, result);
-            resp
-        }
-        Err(StoreError::Cancelled) => deadline_response(shared, deadline),
-        Err(e) => Response::new(500).with_json_body(error_body(&format!("query failed: {e}"))),
-    }
+            Ok((Arc::from(render.query(&q, max).as_bytes()), q.stats))
+        },
+    )
 }
 
 fn handle_report(
@@ -1187,7 +1194,7 @@ fn handle_report(
     deadline: Deadline,
 ) -> Response {
     shared.metrics.reports.inc();
-    let mut timer = StageTimer::start();
+    let timer = StageTimer::start();
     let body = match parse_body(req) {
         Ok(b) => b,
         Err(resp) => return resp,
@@ -1215,53 +1222,26 @@ fn handle_report(
         "report|ati={}|size={}|max={max}",
         criteria.min_ati_ns, criteria.min_size_bytes
     );
-    timer.stage("serve.parse");
-    let tag = etag(entry.generation, &params);
-    if let Some(resp) = not_modified(shared, req, &tag) {
-        timer.stage("serve.lookup");
-        return resp.with_header("X-Pinpoint-Timing", timer.header_value());
-    }
-    if let Some(hit) = shared.results.get(&entry.name, &params, entry.generation) {
-        timer.stage("serve.lookup");
-        return ok_with_result(&hit).with_header("X-Pinpoint-Timing", timer.header_value());
-    }
-    timer.stage("serve.lookup");
-    if deadline.exceeded() {
-        return deadline_response(shared, deadline);
-    }
-    let cancel = deadline.cancel_token();
-    let report = TraceReport::from_chunks(
-        &entry.reader.footer().chunks,
-        criteria,
-        shared.config.request_threads,
-        ReadPolicy::Salvage,
-        |i, _| {
-            cancel.check()?;
-            shared
-                .cache
-                .get_or_decode(entry.id, i, || entry.reader.decode_chunk(i))
-        },
-    );
-    match report {
-        Ok(d) => {
+    answer_from_store(
+        shared,
+        entry,
+        req,
+        deadline,
+        timer,
+        &params,
+        "report",
+        |timer| {
+            let d = TraceReport::from_chunks(
+                &entry.reader.footer().chunks,
+                criteria,
+                shared.config.request_threads,
+                ReadPolicy::Salvage,
+                cache_fetch(shared, entry, deadline),
+            )?;
             timer.stage("serve.fold");
-            let result = CachedResult {
-                body: Arc::from(render.report(&d, max).as_bytes()),
-                etag: tag,
-                chunks_skipped: d.stats.chunks_skipped as u64,
-                events_lost: d.stats.events_lost,
-            };
-            timer.stage("serve.render");
-            let resp =
-                ok_with_result(&result).with_header("X-Pinpoint-Timing", timer.header_value());
-            shared
-                .results
-                .insert(&entry.name, &params, entry.generation, result);
-            resp
-        }
-        Err(StoreError::Cancelled) => deadline_response(shared, deadline),
-        Err(e) => Response::new(500).with_json_body(error_body(&format!("report failed: {e}"))),
-    }
+            Ok((Arc::from(render.report(&d, max).as_bytes()), d.stats))
+        },
+    )
 }
 
 #[cfg(test)]

@@ -1,13 +1,14 @@
 //! Cooperative cancellation for long scans.
 //!
 //! A [`CancelToken`] is a cheap, cloneable predicate ("should this work
-//! stop now?") that scan drivers poll at chunk granularity. It exists so
-//! a caller with a deadline — the serving tier's per-request budget —
-//! can abandon a doomed scan mid-store instead of decoding every
-//! remaining chunk for an answer nobody will read. Cancellation is
-//! **cooperative**: nothing is interrupted mid-chunk, so a cancelled
-//! scan leaves the reader and its scratch pool in a perfectly reusable
-//! state.
+//! stop now?") that a scan's chunk fetch polls before each chunk
+//! ([`CancelToken::check`] inside the fetch closure handed to
+//! [`crate::scan_ordered`] or the fused engine). It exists so a caller
+//! with a deadline — the serving tier's per-request budget — can abandon
+//! a doomed scan mid-store instead of decoding every remaining chunk for
+//! an answer nobody will read. Cancellation is **cooperative**: nothing
+//! is interrupted mid-chunk, so a cancelled scan leaves the reader and
+//! its scratch slots in a perfectly reusable state.
 //!
 //! Cancellation surfaces as [`StoreError::Cancelled`], which is
 //! deliberately classified as *neither* corruption nor I/O: salvage mode
@@ -18,7 +19,7 @@ use crate::error::StoreError;
 use std::fmt;
 use std::sync::Arc;
 
-/// A shareable "stop now?" predicate polled by scan loops.
+/// A shareable "stop now?" predicate polled by chunk fetches.
 ///
 /// The default token ([`CancelToken::never`]) never fires and costs one
 /// `Option` check per poll, so un-deadlined callers pay nothing
@@ -35,7 +36,7 @@ impl CancelToken {
     }
 
     /// Wraps an arbitrary predicate; `f` returning `true` means "stop".
-    /// The predicate is polled from scan loops (possibly from several
+    /// The predicate is polled from chunk fetches (possibly from several
     /// threads) and must be cheap.
     pub fn new(f: impl Fn() -> bool + Send + Sync + 'static) -> Self {
         CancelToken {

@@ -7,8 +7,8 @@
 //! actionable diagnostics from `pinpoint-trace-tool info --verify`.
 //!
 //! `StoreError` converts losslessly into `io::Error` (the typed value is
-//! preserved as the source, so downstream code can downcast), which keeps
-//! the analysis layer on `io::Result` without flattening errors to strings.
+//! preserved as the source, so downstream code can downcast), so `?`
+//! carries it through `io::Result` code without flattening it to a string.
 
 use std::error::Error;
 use std::fmt;

@@ -330,12 +330,10 @@ pub(crate) fn chunk_record_header(payload_len: u32, crc: u32) -> [u8; CHUNK_HEAD
 /// A typed [`StoreError`] on truncation, bad encoding tags, column-length
 /// mismatch, or trailing bytes. Never panics, whatever the input bytes.
 pub fn decode_chunk(bytes: &[u8], version: u8) -> Result<Vec<MemEvent>, StoreError> {
-    let mut batch = ColumnBatch::new();
-    let consumed = crate::columns::decode_body(bytes, version, &mut batch)?;
-    if consumed != bytes.len() {
-        return Err(corrupt("trailing bytes after chunk payload"));
+    match decode_chunk_prefix(bytes, version)? {
+        (events, consumed) if consumed == bytes.len() => Ok(events),
+        _ => Err(corrupt("trailing bytes after chunk payload")),
     }
-    Ok(batch.to_events())
 }
 
 /// Decodes a chunk payload sitting at the start of `bytes`, tolerating
@@ -348,42 +346,6 @@ pub(crate) fn decode_chunk_prefix(
     let mut batch = ColumnBatch::new();
     let consumed = crate::columns::decode_body(bytes, version, &mut batch)?;
     Ok((batch.to_events(), consumed))
-}
-
-/// Decodes a chunk payload and cross-checks it against its index entry:
-/// CRC-32 first (when `verify_crc` — i.e. on v2+ stores), then the
-/// decoded event count. `chunk` is the ordinal used in error detail.
-///
-/// # Errors
-///
-/// [`StoreError::ChecksumMismatch`] / [`StoreError::CountMismatch`] on
-/// index disagreement, or any [`decode_chunk`] error.
-pub fn decode_chunk_verified(
-    bytes: &[u8],
-    meta: &ChunkMeta,
-    chunk: usize,
-    verify_crc: bool,
-    version: u8,
-) -> Result<Vec<MemEvent>, StoreError> {
-    if verify_crc {
-        let got = crc32(bytes);
-        if got != meta.crc32 {
-            return Err(StoreError::ChecksumMismatch {
-                chunk,
-                expected: meta.crc32,
-                got,
-            });
-        }
-    }
-    let events = decode_chunk(bytes, version)?;
-    if events.len() as u64 != meta.count {
-        return Err(StoreError::CountMismatch {
-            chunk,
-            indexed: meta.count,
-            decoded: events.len() as u64,
-        });
-    }
-    Ok(events)
 }
 
 /// Everything the footer holds.
@@ -564,6 +526,20 @@ mod tests {
     use super::*;
     use pinpoint_trace::BlockId;
 
+    /// Verified decode through the reader's scratch path.
+    fn decode_verified_events(
+        bytes: &[u8],
+        meta: &ChunkMeta,
+        chunk: usize,
+        verify_crc: bool,
+        version: u8,
+    ) -> Result<Vec<MemEvent>, StoreError> {
+        let mut scratch = crate::columns::DecodeScratch::new();
+        scratch.raw_for(bytes.len()).copy_from_slice(bytes);
+        scratch.decode_verified(meta, chunk, version, verify_crc)?;
+        Ok(scratch.batch().to_events())
+    }
+
     fn events() -> Vec<MemEvent> {
         vec![
             MemEvent {
@@ -621,7 +597,7 @@ mod tests {
         assert_eq!(meta.label_bits, (1 << 3) | 1);
         assert_eq!(decode_chunk(&bytes, VERSION_V2).unwrap(), evs);
         assert_eq!(
-            decode_chunk_verified(&bytes, &meta, 0, true, VERSION_V2).unwrap(),
+            decode_verified_events(&bytes, &meta, 0, true, VERSION_V2).unwrap(),
             evs
         );
     }
@@ -653,13 +629,13 @@ mod tests {
         let (mut bytes, meta) = encode_chunk(&events());
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x10;
-        match decode_chunk_verified(&bytes, &meta, 5, true, VERSION_V2) {
+        match decode_verified_events(&bytes, &meta, 5, true, VERSION_V2) {
             Err(StoreError::ChecksumMismatch { chunk: 5, .. }) => {}
             other => panic!("expected checksum mismatch, got {other:?}"),
         }
         // without CRC verification the same flip is either a decode error
         // or silently different data — but never a panic
-        let _ = decode_chunk_verified(&bytes, &meta, 5, false, VERSION_V2);
+        let _ = decode_verified_events(&bytes, &meta, 5, false, VERSION_V2);
     }
 
     #[test]
@@ -667,7 +643,7 @@ mod tests {
         let (bytes, mut meta) = encode_chunk(&events());
         meta.count += 1;
         meta.crc32 = crc32(&bytes); // keep CRC valid so count check is reached
-        match decode_chunk_verified(&bytes, &meta, 2, true, VERSION_V2) {
+        match decode_verified_events(&bytes, &meta, 2, true, VERSION_V2) {
             Err(StoreError::CountMismatch {
                 chunk: 2,
                 indexed: 4,

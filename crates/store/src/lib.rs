@@ -18,10 +18,15 @@
 //!   disk chunk-by-chunk during a run instead of accumulating an in-memory
 //!   [`pinpoint_trace::Trace`].
 //! - **Streaming reads** — [`StoreReader`] loads only the footer up
-//!   front; [`StoreReader::for_each_event`] decodes one chunk at a time,
-//!   and [`StoreReader::query`] prunes chunks with a [`Predicate`] before
+//!   front and reads chunks at absolute offsets through `&self`, so one
+//!   open store serves any number of threads;
+//!   [`StoreReader::for_each_event`] decodes one chunk at a time, and
+//!   [`StoreReader::query`] prunes chunks with a [`Predicate`] before
 //!   fanning surviving chunks out over `pinpoint-parallel` workers
-//!   (bit-identical output at every thread count).
+//!   (bit-identical output at every thread count). Every bulk scan — the
+//!   reader's queries, the fused analysis engine, the daemon's cached
+//!   requests — runs through one loop, [`scan_ordered`], over a chunk
+//!   fetch of the caller's choosing.
 //! - **Batch conversion** — [`write_store`] / [`StoreReader::read_trace`]
 //!   bridge to and from the in-memory `Trace` for the existing JSON
 //!   tooling and analyses.
@@ -45,15 +50,14 @@
 //! encodings per chunk (plain, run-length, bit-packed, delta-of-delta
 //! timestamps), the index grows finer zone maps (per-chunk op-label
 //! bitset, min/max size and offset) for sharper [`Predicate`] pushdown,
-//! and [`DecodeScratch`] buffers recycle through the reader so
-//! steady-state scans allocate nothing per chunk
-//! ([`StoreReader::decode_reallocs`]). v1 and v2 files remain fully,
+//! and [`DecodeScratch`] slots recycle through the reader's
+//! [`StoreReader::fetch`] so steady-state scans allocate nothing per
+//! chunk ([`StoreReader::decode_reallocs`]). v1 and v2 files remain fully,
 //! bit-identically readable.
 //!
 //! ```
 //! use pinpoint_store::{write_store, Predicate, StoreReader};
 //! use pinpoint_trace::{BlockId, EventKind, MemoryKind, Trace};
-//! use std::io::Cursor;
 //!
 //! let mut trace = Trace::new();
 //! trace.record(10, EventKind::Malloc, BlockId(1), 4096, 0, MemoryKind::Weight, None);
@@ -62,7 +66,7 @@
 //! let mut bytes = Vec::new();
 //! write_store(&trace, &mut bytes).unwrap();
 //!
-//! let mut reader = StoreReader::new(Cursor::new(bytes)).unwrap();
+//! let reader = StoreReader::new(bytes).unwrap();
 //! let q = reader.query(&Predicate::any().with_kind(EventKind::Read), 1).unwrap();
 //! assert_eq!(q.events.len(), 1);
 //! assert_eq!(reader.read_trace().unwrap(), trace);
@@ -78,7 +82,7 @@ pub mod error;
 pub mod fault;
 pub mod format;
 pub mod reader;
-pub mod shared;
+pub mod scan;
 mod varint;
 pub mod writer;
 
@@ -90,10 +94,10 @@ pub use columns::{
 pub use error::StoreError;
 pub use format::{ChunkMeta, Footer, DEFAULT_CHUNK_EVENTS, MAGIC, VERSION, VERSION_V1, VERSION_V2};
 pub use reader::{
-    ChunkFault, Predicate, QueryResult, QueryStats, ReadPolicy, SalvageSummary, ScrubStats,
-    StoreReader,
+    ChunkFault, PooledBatch, Predicate, QueryResult, QueryStats, ReadAt, ReadPolicy,
+    SalvageSummary, ScrubStats, SharedStoreReader, StoreReader,
 };
-pub use shared::SharedStoreReader;
+pub use scan::{query_chunks, scan_ordered};
 pub use writer::{
     write_store, write_store_chunked, write_store_chunked_v1, write_store_chunked_v2,
     write_store_file, RetryPolicy, StoreWriter,

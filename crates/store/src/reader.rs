@@ -1,12 +1,16 @@
 //! `.ptrc` reader: footer-indexed chunk access, predicate pushdown,
 //! deterministic parallel decode, and corruption-tolerant salvage.
 //!
-//! Opening a store reads only the fixed-size trailer and the footer; event
+//! Opening a store reads only the header, trailer and footer; event
 //! chunks are fetched and decoded on demand, so a query touching a small
 //! time window of a huge trace reads a correspondingly small part of the
-//! file. The reader counts decoded chunks ([`StoreReader::chunks_decoded`])
-//! so tests — and the acceptance criteria — can assert pushdown actually
-//! skips I/O rather than filtering after a full decode.
+//! file. Reads go through a positional source ([`ReadAt`]: `pread` on
+//! files, slices in memory), so the reader is `Sync` and every method
+//! takes `&self` — the CLI and the `pinpoint-serve` daemon share one
+//! reader type. The reader counts decoded chunks
+//! ([`StoreReader::chunks_decoded`]) so tests — and the acceptance
+//! criteria — can assert pushdown actually skips I/O rather than
+//! filtering after a full decode.
 //!
 //! Robustness contract: **no byte sequence panics the reader**. Every
 //! decode failure is a typed [`StoreError`], and [`ReadPolicy`] decides
@@ -32,15 +36,19 @@ use crate::columns::{ColumnBatch, DecodeScratch};
 use crate::crc32::crc32;
 use crate::error::StoreError;
 use crate::format::{
-    category_bit, decode_chunk_prefix, decode_chunk_verified, decode_footer, kind_bit,
-    meta_from_events, trailer_len, ChunkMeta, Footer, CHUNK_HEADER_LEN, CHUNK_MAGIC, HEADER_LEN,
-    MAGIC, VERSION, VERSION_V1,
+    category_bit, decode_chunk_prefix, decode_footer, kind_bit, meta_from_events, trailer_len,
+    ChunkMeta, Footer, CHUNK_HEADER_LEN, CHUNK_MAGIC, HEADER_LEN, MAGIC, VERSION, VERSION_V1,
 };
+use crate::scan::{query_chunks, scan_ordered, wave_len};
 use crate::writer::StoreWriter;
 use pinpoint_trace::{Category, EventKind, MemEvent, Trace, TraceSink};
+use std::fmt;
 use std::fs::File;
-use std::io::{BufReader, Read, Seek, SeekFrom, Write};
+use std::io::{self, Write};
+use std::ops::Deref;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 
 /// An event filter with chunk-level pushdown.
 ///
@@ -304,11 +312,12 @@ pub enum ReadPolicy {
     Salvage,
 }
 
-/// How much work a query did, chunk-wise — and, under
-/// [`ReadPolicy::Salvage`], exactly what was lost.
+/// How much work a scan did, chunk-wise — how much pruning the predicate
+/// bought and, under [`ReadPolicy::Salvage`], exactly what corruption
+/// cost. Queries and fused analysis runs share it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QueryStats {
-    /// Chunks in the store.
+    /// Chunks in the store (or synthesized from an in-memory trace).
     pub chunks_total: usize,
     /// Chunks skipped via the footer index alone.
     pub chunks_pruned: usize,
@@ -316,8 +325,10 @@ pub struct QueryStats {
     /// of the v3 op-label bitset (a pruning the coarser v1/v2 zone maps
     /// could not have made).
     pub chunks_pruned_by_label: usize,
-    /// Chunks read and successfully decoded.
+    /// Chunks read and successfully decoded — each exactly once.
     pub chunks_decoded: usize,
+    /// Events in the decoded chunks.
+    pub events_scanned: u64,
     /// Chunks read but skipped as corrupt (always 0 under `Strict`).
     pub chunks_skipped: usize,
     /// Events lost with the skipped chunks, per the index counts.
@@ -381,25 +392,118 @@ pub struct ScrubStats {
     pub first_error: Option<String>,
 }
 
-/// A `.ptrc` reader over any seekable byte source.
+/// A byte source read at absolute offsets through `&self` — `pread`-style,
+/// no shared cursor — so one open store can serve any number of threads.
+pub trait ReadAt: Send + Sync + fmt::Debug {
+    /// Total size of the source in bytes.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors from the underlying source.
+    fn size(&self) -> io::Result<u64>;
+
+    /// Fills `buf` with the bytes starting at `offset`.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::UnexpectedEof`] when the source ends first, or any
+    /// I/O error from the underlying source.
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()>;
+}
+
+impl ReadAt for File {
+    fn size(&self) -> io::Result<u64> {
+        Ok(self.metadata()?.len())
+    }
+
+    #[cfg(unix)]
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+        std::os::unix::fs::FileExt::read_exact_at(self, buf, offset)
+    }
+
+    #[cfg(windows)]
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+        use std::os::windows::fs::FileExt;
+        let mut done = 0;
+        while done < buf.len() {
+            match self.seek_read(&mut buf[done..], offset + done as u64) {
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(n) => done += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+}
+
+impl ReadAt for Vec<u8> {
+    fn size(&self) -> io::Result<u64> {
+        Ok(self.len() as u64)
+    }
+
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+        let src = usize::try_from(offset)
+            .ok()
+            .and_then(|start| self.get(start..start.checked_add(buf.len())?))
+            .ok_or(io::ErrorKind::UnexpectedEof)?;
+        buf.copy_from_slice(src);
+        Ok(())
+    }
+}
+
+/// Decode slots per reader. A scan of `threads` workers uses the first
+/// `threads × 4` (one per chunk of a scan wave), so this bounds the
+/// slot-collision-free thread count at 16.
+const SCRATCH_SLOTS: usize = 64;
+
+/// A `.ptrc` reader: validated once at open, then read-only and `Sync` —
+/// every method takes `&self`, so one open store (behind an `Arc` if need
+/// be) answers queries from any number of threads at once.
 #[derive(Debug)]
-pub struct StoreReader<R: Read + Seek = BufReader<File>> {
-    src: R,
+pub struct StoreReader {
+    src: Box<dyn ReadAt>,
     file_len: u64,
     version: u8,
     policy: ReadPolicy,
     footer: Footer,
-    chunks_decoded: u64,
     salvage: Option<SalvageSummary>,
-    /// Reusable decode buffers, recycled across scans so steady-state
-    /// queries allocate nothing per chunk (see [`DecodeScratch`]).
-    scratch_pool: Vec<DecodeScratch>,
-    /// Cooperative cancellation, polled per scan wave (see
-    /// [`StoreReader::set_cancel`]).
-    cancel: crate::cancel::CancelToken,
+    chunks_decoded: AtomicU64,
+    /// Reusable decode buffers for [`StoreReader::fetch`]: chunk `i` of a
+    /// `threads`-wide scan always decodes into slot `i % (threads × 4)`,
+    /// so a repeated scan hands every chunk a buffer that already fit it
+    /// last time and allocates nothing ([`StoreReader::decode_reallocs`]).
+    scratch: Box<[Mutex<DecodeScratch>]>,
 }
 
-impl StoreReader<BufReader<File>> {
+/// Alias of [`StoreReader`], which is `Sync` and serves concurrent
+/// callers through `&self`.
+pub type SharedStoreReader = StoreReader;
+
+/// A chunk decoded by [`StoreReader::fetch`], held for as long as the
+/// caller reads it: in the chunk's scratch slot or, while another fetch
+/// holds that slot, in a scratch of its own.
+#[derive(Debug)]
+pub struct PooledBatch<'a>(Scratch<'a>);
+
+#[derive(Debug)]
+enum Scratch<'a> {
+    Slot(MutexGuard<'a, DecodeScratch>),
+    Spare(DecodeScratch),
+}
+
+impl Deref for PooledBatch<'_> {
+    type Target = ColumnBatch;
+
+    fn deref(&self) -> &ColumnBatch {
+        match &self.0 {
+            Scratch::Slot(s) => s.batch(),
+            Scratch::Spare(s) => s.batch(),
+        }
+    }
+}
+
+impl StoreReader {
     /// Opens a `.ptrc` file under [`ReadPolicy::Strict`].
     ///
     /// # Errors
@@ -407,7 +511,7 @@ impl StoreReader<BufReader<File>> {
     /// I/O errors, or a typed [`StoreError`] if the file is not a valid
     /// store.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        Self::new(BufReader::new(File::open(path).map_err(StoreError::Io)?))
+        Self::open_with_policy(path, ReadPolicy::Strict)
     }
 
     /// Opens a `.ptrc` file under the given policy.
@@ -419,26 +523,22 @@ impl StoreReader<BufReader<File>> {
         path: impl AsRef<Path>,
         policy: ReadPolicy,
     ) -> Result<Self, StoreError> {
-        Self::new_with_policy(
-            BufReader::new(File::open(path).map_err(StoreError::Io)?),
-            policy,
-        )
+        Self::new_with_policy(File::open(path).map_err(StoreError::Io)?, policy)
     }
-}
 
-impl<R: Read + Seek> StoreReader<R> {
-    /// Wraps a seekable source under [`ReadPolicy::Strict`], validating
+    /// Wraps a positional source under [`ReadPolicy::Strict`], validating
     /// the header and loading the footer index.
     ///
     /// # Errors
     ///
-    /// I/O errors, or a typed [`StoreError`] if the stream is not a valid
+    /// I/O errors, or a typed [`StoreError`] if the bytes are not a valid
     /// store.
-    pub fn new(src: R) -> Result<Self, StoreError> {
+    pub fn new(src: impl ReadAt + 'static) -> Result<Self, StoreError> {
         Self::new_with_policy(src, ReadPolicy::Strict)
     }
 
-    /// Wraps a seekable source under the given policy.
+    /// Wraps a positional source under the given policy, which stays fixed
+    /// for the reader's life.
     ///
     /// Under [`ReadPolicy::Salvage`], a damaged footer/trailer does not
     /// fail the open: the file is rescanned and the index rebuilt from
@@ -450,10 +550,12 @@ impl<R: Read + Seek> StoreReader<R> {
     ///
     /// I/O errors; a typed [`StoreError`] on corruption (under `Strict`)
     /// or on a damaged header (under either policy).
-    pub fn new_with_policy(mut src: R, policy: ReadPolicy) -> Result<Self, StoreError> {
+    pub fn new_with_policy(
+        src: impl ReadAt + 'static,
+        policy: ReadPolicy,
+    ) -> Result<Self, StoreError> {
         let mut head = [0u8; HEADER_LEN];
-        src.seek(SeekFrom::Start(0)).map_err(StoreError::Io)?;
-        src.read_exact(&mut head)
+        src.read_exact_at(&mut head, 0)
             .map_err(|_| StoreError::Truncated(".ptrc header"))?;
         if &head[..4] != MAGIC {
             return Err(StoreError::BadMagic);
@@ -462,47 +564,39 @@ impl<R: Read + Seek> StoreReader<R> {
         if !(VERSION_V1..=VERSION).contains(&version) {
             return Err(StoreError::UnsupportedVersion(version));
         }
-        let file_len = src.seek(SeekFrom::End(0)).map_err(StoreError::Io)?;
-        match Self::load_footer_strict(&mut src, version, file_len) {
-            Ok(footer) => Ok(StoreReader {
-                src,
-                file_len,
-                version,
-                policy,
-                footer,
-                chunks_decoded: 0,
-                salvage: None,
-                scratch_pool: Vec::new(),
-                cancel: crate::cancel::CancelToken::never(),
-            }),
+        let file_len = src.size().map_err(StoreError::Io)?;
+        let (footer, salvage) = match Self::load_footer_strict(&src, version, file_len) {
+            Ok(footer) => (footer, None),
             Err(e) if policy == ReadPolicy::Salvage && e.is_corruption() => {
-                let (footer, summary) = Self::rescan(&mut src, version, e.to_string())?;
-                Ok(StoreReader {
-                    src,
-                    file_len,
-                    version,
-                    policy,
-                    footer,
-                    chunks_decoded: 0,
-                    salvage: Some(summary),
-                    scratch_pool: Vec::new(),
-                    cancel: crate::cancel::CancelToken::never(),
-                })
+                let (footer, summary) = Self::rescan(&src, version, file_len, e.to_string())?;
+                (footer, Some(summary))
             }
-            Err(e) => Err(e),
-        }
+            Err(e) => return Err(e),
+        };
+        Ok(StoreReader {
+            src: Box::new(src),
+            file_len,
+            version,
+            policy,
+            footer,
+            salvage,
+            chunks_decoded: AtomicU64::new(0),
+            scratch: (0..SCRATCH_SLOTS).map(|_| Mutex::default()).collect(),
+        })
     }
 
     /// Reads and fully validates the trailer, footer, and chunk index.
-    fn load_footer_strict(src: &mut R, version: u8, file_len: u64) -> Result<Footer, StoreError> {
+    fn load_footer_strict(
+        src: &dyn ReadAt,
+        version: u8,
+        file_len: u64,
+    ) -> Result<Footer, StoreError> {
         let tlen = trailer_len(version);
         if file_len < (HEADER_LEN + tlen) as u64 {
             return Err(StoreError::Truncated(".ptrc trailer"));
         }
         let mut trailer = vec![0u8; tlen];
-        src.seek(SeekFrom::Start(file_len - tlen as u64))
-            .map_err(StoreError::Io)?;
-        src.read_exact(&mut trailer)
+        src.read_exact_at(&mut trailer, file_len - tlen as u64)
             .map_err(|_| StoreError::Truncated(".ptrc trailer"))?;
         if &trailer[tlen - 4..] != MAGIC {
             return Err(StoreError::Truncated("store (bad trailer magic)"));
@@ -513,9 +607,7 @@ impl<R: Read + Seek> StoreReader<R> {
             return Err(StoreError::Corrupt("footer offset out of range".into()));
         }
         let mut footer_bytes = vec![0u8; (footer_end - footer_start) as usize];
-        src.seek(SeekFrom::Start(footer_start))
-            .map_err(StoreError::Io)?;
-        src.read_exact(&mut footer_bytes)
+        src.read_exact_at(&mut footer_bytes, footer_start)
             .map_err(|_| StoreError::Truncated("footer"))?;
         if version >= 2 {
             let expected = u32::from_le_bytes(trailer[8..12].try_into().expect("4 bytes"));
@@ -559,13 +651,13 @@ impl<R: Read + Seek> StoreReader<R> {
     /// pass. v1: walk payloads from the front, keeping the longest cleanly
     /// decoding prefix (v1 has no per-chunk framing to resynchronize on).
     fn rescan(
-        src: &mut R,
+        src: &dyn ReadAt,
         version: u8,
+        file_len: u64,
         reason: String,
     ) -> Result<(Footer, SalvageSummary), StoreError> {
-        let mut data = Vec::new();
-        src.seek(SeekFrom::Start(0)).map_err(StoreError::Io)?;
-        src.read_to_end(&mut data).map_err(StoreError::Io)?;
+        let mut data = vec![0u8; file_len as usize];
+        src.read_exact_at(&mut data, 0).map_err(StoreError::Io)?;
 
         let mut chunks = Vec::new();
         let mut total_events = 0u64;
@@ -648,28 +740,9 @@ impl<R: Read + Seek> StoreReader<R> {
         Ok((footer, summary))
     }
 
-    /// The active read policy.
+    /// The read policy, fixed at open.
     pub fn policy(&self) -> ReadPolicy {
         self.policy
-    }
-
-    /// Switches the read policy for subsequent operations. (Switching to
-    /// `Salvage` after a strict open does not retroactively rescan a bad
-    /// footer — reopen with [`StoreReader::new_with_policy`] for that.)
-    pub fn set_policy(&mut self, policy: ReadPolicy) {
-        self.policy = policy;
-    }
-
-    /// Installs a cooperative [`CancelToken`](crate::CancelToken) polled
-    /// at wave boundaries by [`StoreReader::scan_chunks`] (and everything
-    /// built on it: [`StoreReader::query`],
-    /// [`StoreReader::for_each_event`], the fused engine). Once the token
-    /// fires, the scan stops decoding mid-store and returns
-    /// [`StoreError::Cancelled`] — under any read policy, because an
-    /// abandoned request is not a damaged store. The reader stays fully
-    /// reusable afterwards.
-    pub fn set_cancel(&mut self, token: crate::cancel::CancelToken) {
-        self.cancel = token;
     }
 
     /// The store's format version byte.
@@ -702,192 +775,140 @@ impl<R: Read + Seek> StoreReader<R> {
         self.footer.total_events
     }
 
-    /// Cumulative count of chunks this reader has fetched for decode.
+    /// Cumulative count of chunks this reader has fetched for decode,
+    /// across all threads.
     pub fn chunks_decoded(&self) -> u64 {
-        self.chunks_decoded
+        self.chunks_decoded.load(Ordering::Relaxed)
     }
 
-    /// Cumulative count of buffer growths across this reader's decode
-    /// scratch pool. Once a scan has warmed the pool, repeating the same
-    /// scan leaves this unchanged — the zero-allocations-per-chunk
-    /// property the acceptance tests assert.
+    /// Cumulative count of buffer growths across the reader's decode
+    /// slots. Once a scan has warmed them, repeating the same scan at the
+    /// same thread count leaves this unchanged — the
+    /// zero-allocations-per-chunk property the acceptance tests assert.
     pub fn decode_reallocs(&self) -> u64 {
-        self.scratch_pool.iter().map(|s| s.realloc_count()).sum()
+        self.scratch
+            .iter()
+            .map(|s| {
+                s.lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .realloc_count()
+            })
+            .sum()
     }
 
-    /// Whether per-chunk CRCs exist to verify (v2+ stores).
-    fn verify_crc(&self) -> bool {
-        self.version >= 2
-    }
-
-    /// Reads chunk `i`'s payload into the scratch's raw buffer (no
-    /// allocation once the buffer has grown to the largest chunk).
-    fn read_chunk_into(&mut self, i: usize, scratch: &mut DecodeScratch) -> Result<(), StoreError> {
-        let meta = self
-            .footer
+    /// Chunk `i`'s index entry.
+    fn chunk_meta(&self, i: usize) -> Result<ChunkMeta, StoreError> {
+        self.footer
             .chunks
             .get(i)
             .copied()
             .ok_or(StoreError::ChunkOutOfRange {
                 chunk: i,
                 chunks: self.footer.chunks.len(),
-            })?;
-        // byte_len was bounds-checked against the file at open, so this
-        // buffer is capped by the file size
-        let buf = scratch.raw_for(meta.byte_len as usize);
-        self.src
-            .seek(SeekFrom::Start(meta.offset))
-            .map_err(StoreError::Io)?;
-        self.src.read_exact(buf).map_err(StoreError::Io)?;
-        Ok(())
+            })
     }
 
-    /// The zero-alloc scan driver every bulk consumer sits on: fetches
-    /// `candidates` in waves (sequential I/O into pooled [`DecodeScratch`]
-    /// buffers), decodes and maps them on `threads` worker threads, and
-    /// folds the results **in candidate order** — so output is
-    /// bit-identical at every thread count.
+    /// Reads chunk `i`'s payload into `buf`, which the caller sized to the
+    /// entry's `byte_len` (bounds-checked against the file at open, so
+    /// the buffer is capped by the file size).
+    fn read_payload(&self, i: usize, meta: &ChunkMeta, buf: &mut [u8]) -> Result<(), StoreError> {
+        self.chunks_decoded.fetch_add(1, Ordering::Relaxed);
+        let _read_span = pinpoint_obs::tracer().span_with("store.read", i as u64);
+        self.src
+            .read_exact_at(buf, meta.offset)
+            .map_err(StoreError::Io)
+    }
+
+    /// Reads and decodes chunk `i` into the caller's scratch, verifying
+    /// the CRC (v2+) and the event count against the index. Strict about
+    /// *this* chunk regardless of policy — skip-and-account iteration
+    /// lives in the scans ([`crate::scan_ordered`]).
     ///
-    /// The pool assigns each wave position the same scratch slot on every
-    /// scan (not last-in-first-out), so a repeated scan hands every chunk
-    /// a buffer that already fit it last time: after one warm-up pass an
-    /// identical scan allocates nothing per chunk
-    /// ([`StoreReader::decode_reallocs`]).
+    /// Counts toward [`StoreReader::chunks_decoded`].
     ///
-    /// `map` runs on worker threads against the borrowed [`ColumnBatch`]
-    /// and must be pure; `fold` runs on the calling thread and sees each
-    /// chunk's map result — or its decode error, which it can swallow
-    /// (salvage) or propagate.
+    /// # Errors
     ///
-    /// Every fetched candidate counts toward
+    /// I/O errors, [`StoreError::ChunkOutOfRange`], or a typed corruption
+    /// error.
+    pub fn decode_chunk_into(
+        &self,
+        i: usize,
+        scratch: &mut DecodeScratch,
+    ) -> Result<ChunkMeta, StoreError> {
+        let meta = self.chunk_meta(i)?;
+        self.read_payload(i, &meta, scratch.raw_for(meta.byte_len as usize))?;
+        scratch.decode_verified(&meta, i, self.version, self.version >= 2)?;
+        Ok(meta)
+    }
+
+    /// Reads, verifies, and decodes chunk `i` into an owned
+    /// [`ColumnBatch`] — the cache-fill path, where the decoded columns
+    /// outlive any scratch.
+    ///
+    /// # Errors
+    ///
+    /// As [`StoreReader::decode_chunk_into`].
+    pub fn decode_chunk(&self, i: usize) -> Result<ColumnBatch, StoreError> {
+        let mut scratch = DecodeScratch::new();
+        self.decode_chunk_into(i, &mut scratch)?;
+        Ok(scratch.into_batch())
+    }
+
+    /// Reads, verifies, and decodes chunk `i` into owned events.
+    ///
+    /// # Errors
+    ///
+    /// As [`StoreReader::decode_chunk_into`].
+    pub fn decode_chunk_events(&self, i: usize) -> Result<Vec<MemEvent>, StoreError> {
+        Ok(self.decode_chunk(i)?.to_events())
+    }
+
+    /// The chunk fetch of a `threads`-wide scan over this reader, for
+    /// [`crate::scan_ordered`] and the fused engine's `run_chunks`:
+    /// chunk `i` decodes into scratch slot `i % (threads × 4)` — the same
+    /// slot on every scan — and holds it until the returned
+    /// [`PooledBatch`] drops. A chunk whose slot is busy (a colliding
+    /// chunk of the same wave, or a concurrent scan) decodes into a fresh
+    /// scratch instead of waiting.
+    pub fn fetch<'a>(
+        &'a self,
+        threads: usize,
+    ) -> impl Fn(usize, &ChunkMeta) -> Result<PooledBatch<'a>, StoreError> + Sync + 'a {
+        let slots = wave_len(threads).min(self.scratch.len());
+        move |i, _| {
+            let mut held = match self.scratch[i % slots].try_lock() {
+                Ok(slot) => Scratch::Slot(slot),
+                // every decode rewrites the slot, so a panic mid-decode
+                // cannot leave it unusable
+                Err(TryLockError::Poisoned(slot)) => Scratch::Slot(slot.into_inner()),
+                Err(TryLockError::WouldBlock) => Scratch::Spare(DecodeScratch::new()),
+            };
+            let scratch = match &mut held {
+                Scratch::Slot(s) => &mut **s,
+                Scratch::Spare(s) => s,
+            };
+            self.decode_chunk_into(i, scratch)?;
+            Ok(PooledBatch(held))
+        }
+    }
+
+    /// Reads the raw encoded payloads of a batch of chunks, in the given
+    /// order. Every returned chunk counts toward
     /// [`StoreReader::chunks_decoded`].
     ///
     /// # Errors
     ///
-    /// I/O errors, [`StoreError::ChunkOutOfRange`], or whatever `fold`
-    /// propagates.
-    pub fn scan_chunks<T, M, F>(
-        &mut self,
-        candidates: &[usize],
-        threads: usize,
-        map: M,
-        mut fold: F,
-    ) -> Result<(), StoreError>
-    where
-        T: Send,
-        M: Fn(usize, &ChunkMeta, &ColumnBatch) -> T + Sync,
-        F: FnMut(usize, &ChunkMeta, Result<T, StoreError>) -> Result<(), StoreError>,
-    {
-        let version = self.version;
-        let verify = self.verify_crc();
-        let wave = threads.max(1) * 4;
-        let _scan_span = pinpoint_obs::tracer().span_with("store.scan", candidates.len() as u64);
-        for window in candidates.chunks(wave.max(1)) {
-            // cooperative checkpoint: a fired token abandons the scan at
-            // the next wave boundary instead of decoding the rest of the
-            // store for an answer nobody will read
-            self.cancel.check()?;
-            if self.scratch_pool.len() < window.len() {
-                self.scratch_pool
-                    .resize_with(window.len(), DecodeScratch::default);
-            }
-            let mut items = Vec::with_capacity(window.len());
-            for (slot, &i) in window.iter().enumerate() {
-                let _read_span = pinpoint_obs::tracer().span_with("store.read", i as u64);
-                let mut scratch = std::mem::take(&mut self.scratch_pool[slot]);
-                let read = self.read_chunk_into(i, &mut scratch);
-                let meta = self.footer.chunks[i];
-                items.push((slot, i, meta, scratch, read));
-            }
-            self.chunks_decoded += window.len() as u64;
-            let mapped = pinpoint_parallel::map_ordered(
-                items,
-                threads,
-                |(slot, i, meta, mut scratch, read)| {
-                    let chunk_span = pinpoint_obs::tracer().span_with("store.chunk", i as u64);
-                    let res = read
-                        .and_then(|()| scratch.decode_verified(&meta, i, version, verify))
-                        .map(|()| {
-                            let _fold_span =
-                                pinpoint_obs::tracer().span_with("store.fold", i as u64);
-                            map(i, &meta, scratch.batch())
-                        });
-                    drop(chunk_span);
-                    (slot, i, meta, res, scratch)
-                },
-            );
-            for (slot, i, meta, res, scratch) in mapped {
-                self.scratch_pool[slot] = scratch;
-                match res {
-                    // an I/O failure aborts regardless of what fold would
-                    // tolerate: salvage forgives bad bytes, not bad disks
-                    Err(e) if !e.is_corruption() => return Err(e),
-                    res => fold(i, &meta, res)?,
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn read_chunk_bytes(&mut self, i: usize) -> Result<Vec<u8>, StoreError> {
-        let meta = self
-            .footer
-            .chunks
-            .get(i)
-            .copied()
-            .ok_or(StoreError::ChunkOutOfRange {
-                chunk: i,
-                chunks: self.footer.chunks.len(),
-            })?;
-        // byte_len was bounds-checked against the file at open, so this
-        // allocation is capped by the file size
-        let mut bytes = vec![0u8; meta.byte_len as usize];
-        self.src
-            .seek(SeekFrom::Start(meta.offset))
-            .map_err(StoreError::Io)?;
-        self.src.read_exact(&mut bytes).map_err(StoreError::Io)?;
-        Ok(bytes)
-    }
-
-    /// Reads the raw encoded payloads of a batch of chunks, in the given
-    /// order, with one sequential I/O pass — the batch-decode entry point
-    /// for the fused analysis engine, which verifies and decodes the
-    /// returned buffers on its own worker threads via
-    /// [`crate::format::decode_chunk_verified`].
-    ///
-    /// Every returned chunk counts toward [`StoreReader::chunks_decoded`]:
-    /// callers of this API hand each buffer to the decoder exactly once,
-    /// so fetched and decoded are the same tally.
-    ///
-    /// # Errors
-    ///
     /// I/O errors, or [`StoreError::ChunkOutOfRange`].
-    pub fn read_chunk_batch(&mut self, indices: &[usize]) -> Result<Vec<Vec<u8>>, StoreError> {
-        let mut raw = Vec::with_capacity(indices.len());
-        for &i in indices {
-            raw.push(self.read_chunk_bytes(i)?);
-        }
-        self.chunks_decoded += indices.len() as u64;
-        Ok(raw)
-    }
-
-    /// Reads, verifies (CRC on v2), and decodes chunk `i`.
-    ///
-    /// Always strict about *this* chunk — policy-aware iteration (skip and
-    /// account) lives in [`StoreReader::query`],
-    /// [`StoreReader::for_each_event`], and the fused engine.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors, or a typed [`StoreError`] on corruption (checksum,
-    /// malformed payload, or an event count that disagrees with the
-    /// index).
-    pub fn decode_chunk_events(&mut self, i: usize) -> Result<Vec<MemEvent>, StoreError> {
-        let bytes = self.read_chunk_bytes(i)?;
-        let meta = self.footer.chunks[i];
-        let events = decode_chunk_verified(&bytes, &meta, i, self.verify_crc(), self.version)?;
-        self.chunks_decoded += 1;
-        Ok(events)
+    pub fn read_chunk_batch(&self, indices: &[usize]) -> Result<Vec<Vec<u8>>, StoreError> {
+        indices
+            .iter()
+            .map(|&i| {
+                let meta = self.chunk_meta(i)?;
+                let mut buf = vec![0u8; meta.byte_len as usize];
+                self.read_payload(i, &meta, &mut buf)?;
+                Ok(buf)
+            })
+            .collect()
     }
 
     /// Streams every event, in trace order, through `f` — one chunk
@@ -899,80 +920,38 @@ impl<R: Read + Seek> StoreReader<R> {
     /// # Errors
     ///
     /// I/O errors; corruption errors under [`ReadPolicy::Strict`].
-    pub fn for_each_event(&mut self, mut f: impl FnMut(MemEvent)) -> Result<(), StoreError> {
-        for i in 0..self.num_chunks() {
-            match self.decode_chunk_events(i) {
-                Ok(events) => {
-                    for e in events {
-                        f(e);
-                    }
-                }
-                Err(e) if self.policy == ReadPolicy::Salvage && e.is_corruption() => {}
-                Err(e) => return Err(e),
-            }
-        }
+    pub fn for_each_event(&self, mut f: impl FnMut(MemEvent)) -> Result<(), StoreError> {
+        scan_ordered(
+            &self.footer.chunks,
+            &Predicate::any(),
+            1,
+            self.policy,
+            self.fetch(1),
+            |_, batch| batch.to_events(),
+            |_, events| events.into_iter().for_each(&mut f),
+        )?;
         Ok(())
     }
 
     /// Runs a filtered query: prunes chunks via the footer index, decodes
     /// the survivors (fanned out over `threads` worker threads when
-    /// `threads > 1`), and filters events. Output order — and every byte
-    /// of it — is identical at every thread count; under
-    /// [`ReadPolicy::Salvage`] that includes the loss accounting, because
-    /// per-chunk verdicts are folded in file order.
+    /// `threads > 1`), and filters events — [`crate::query_chunks`] over
+    /// this reader's [`fetch`](Self::fetch). Output order — and every
+    /// byte of it, including the salvage loss accounting — is identical
+    /// at every thread count, from any number of concurrent callers.
     ///
     /// # Errors
     ///
     /// I/O errors; corruption errors under [`ReadPolicy::Strict`].
-    pub fn query(&mut self, pred: &Predicate, threads: usize) -> Result<QueryResult, StoreError> {
+    pub fn query(&self, pred: &Predicate, threads: usize) -> Result<QueryResult, StoreError> {
         let _query_span = pinpoint_obs::tracer().span("store.query");
-        let mut candidates = Vec::new();
-        let mut stats = QueryStats {
-            chunks_total: self.num_chunks(),
-            ..QueryStats::default()
-        };
-        {
-            let _prune_span = pinpoint_obs::tracer().span("store.prune");
-            for (i, meta) in self.footer.chunks.iter().enumerate() {
-                if pred.matches_chunk(meta) {
-                    candidates.push(i);
-                } else if pred.pruned_by_label(meta) {
-                    stats.chunks_pruned_by_label += 1;
-                }
-            }
-        }
-        stats.chunks_pruned = self.num_chunks() - candidates.len();
-        let pred = *pred;
-        let salvage = self.policy == ReadPolicy::Salvage;
-        let mut events = Vec::new();
-        self.scan_chunks(
-            &candidates,
+        query_chunks(
+            &self.footer.chunks,
+            pred,
             threads,
-            |_, _, batch| {
-                (0..batch.len())
-                    .map(|k| batch.event(k))
-                    .filter(|e| pred.matches_event(e))
-                    .collect::<Vec<_>>()
-            },
-            |_, meta, res| {
-                match res {
-                    Ok(matched) => {
-                        stats.chunks_decoded += 1;
-                        events.extend(matched);
-                    }
-                    Err(e) if salvage && e.is_corruption() => {
-                        stats.chunks_skipped += 1;
-                        stats.events_lost += meta.count;
-                        if stats.first_error.is_none() {
-                            stats.first_error = Some(e.to_string());
-                        }
-                    }
-                    Err(e) => return Err(e),
-                }
-                Ok(())
-            },
-        )?;
-        Ok(QueryResult { events, stats })
+            self.policy,
+            self.fetch(threads),
+        )
     }
 
     /// Verifies every chunk (CRC on v2, full decode on both versions)
@@ -982,10 +961,11 @@ impl<R: Read + Seek> StoreReader<R> {
     /// # Errors
     ///
     /// I/O errors only — corruption is the *result*, not a failure.
-    pub fn verify_chunks(&mut self) -> Result<Vec<ChunkFault>, StoreError> {
+    pub fn verify_chunks(&self) -> Result<Vec<ChunkFault>, StoreError> {
+        let mut scratch = DecodeScratch::new();
         let mut faults = Vec::new();
         for i in 0..self.num_chunks() {
-            match self.decode_chunk_events(i) {
+            match self.decode_chunk_into(i, &mut scratch) {
                 Ok(_) => {}
                 Err(e) if e.is_corruption() => faults.push(ChunkFault {
                     chunk: i,
@@ -1007,56 +987,53 @@ impl<R: Read + Seek> StoreReader<R> {
     /// # Errors
     ///
     /// I/O errors from either side.
-    pub fn scrub_into<W: Write>(
-        &mut self,
-        out: &mut StoreWriter<W>,
-    ) -> Result<ScrubStats, StoreError> {
-        for l in &self.footer.labels.clone() {
+    pub fn scrub_into<W: Write>(&self, out: &mut StoreWriter<W>) -> Result<ScrubStats, StoreError> {
+        for l in &self.footer.labels {
             out.intern_label(l);
         }
-        let markers = self.footer.markers.clone();
-        let mut stats = ScrubStats {
-            chunks_total: self.num_chunks(),
-            ..ScrubStats::default()
-        };
+        // each chunk's first position in the original event stream: the
+        // markers of a lost range are emitted by the next kept chunk (or
+        // the final flush) at the boundary position — the remap we want
+        let starts: Vec<u64> = self
+            .footer
+            .chunks
+            .iter()
+            .scan(0, |at, c| Some(std::mem::replace(at, *at + c.count)))
+            .collect();
+        let markers = &self.footer.markers;
         let mut next_marker = 0usize;
-        let mut orig_index = 0u64; // position in the original event stream
-        for i in 0..self.num_chunks() {
-            let count = self.footer.chunks[i].count;
-            match self.decode_chunk_events(i) {
-                Ok(events) => {
-                    stats.chunks_kept += 1;
-                    for e in events {
-                        while next_marker < markers.len()
-                            && (markers[next_marker].event_index as u64) <= orig_index
-                        {
-                            let m = &markers[next_marker];
-                            out.record_marker(m.time_ns, &m.label);
-                            next_marker += 1;
-                        }
-                        out.record_event(e);
-                        orig_index += 1;
-                        stats.events_kept += 1;
+        let stats = scan_ordered(
+            &self.footer.chunks,
+            &Predicate::any(),
+            1,
+            ReadPolicy::Salvage,
+            self.fetch(1),
+            |_, batch| batch.to_events(),
+            |i, events| {
+                for (orig_index, e) in (starts[i]..).zip(events) {
+                    while markers
+                        .get(next_marker)
+                        .is_some_and(|m| m.event_index as u64 <= orig_index)
+                    {
+                        let m = &markers[next_marker];
+                        out.record_marker(m.time_ns, &m.label);
+                        next_marker += 1;
                     }
+                    out.record_event(e);
                 }
-                Err(e) if e.is_corruption() => {
-                    stats.chunks_skipped += 1;
-                    stats.events_lost += count;
-                    if stats.first_error.is_none() {
-                        stats.first_error = Some(e.to_string());
-                    }
-                    // markers inside this range are emitted by the next
-                    // kept chunk's loop (or the final flush) at the
-                    // boundary position — exactly the remap we want
-                    orig_index += count;
-                }
-                Err(e) => return Err(e),
-            }
-        }
+            },
+        )?;
         for m in &markers[next_marker..] {
             out.record_marker(m.time_ns, &m.label);
         }
-        Ok(stats)
+        Ok(ScrubStats {
+            chunks_total: stats.chunks_total,
+            chunks_kept: stats.chunks_decoded,
+            chunks_skipped: stats.chunks_skipped,
+            events_kept: stats.events_scanned,
+            events_lost: stats.events_lost,
+            first_error: stats.first_error,
+        })
     }
 
     /// Materializes the full in-memory [`Trace`] (events, markers, label
@@ -1069,17 +1046,16 @@ impl<R: Read + Seek> StoreReader<R> {
     /// # Errors
     ///
     /// I/O errors; corruption errors under [`ReadPolicy::Strict`].
-    pub fn read_trace(&mut self) -> Result<Trace, StoreError> {
+    pub fn read_trace(&self) -> Result<Trace, StoreError> {
         let mut trace = Trace::new();
         for l in &self.footer.labels {
             trace.intern_label(l);
         }
-        let markers = self.footer.markers.clone();
-        let salvage = self.policy == ReadPolicy::Salvage;
         self.for_each_event(|e| trace.push(e))?;
-        for mut m in markers {
+        for m in &self.footer.markers {
+            let mut m = m.clone();
             if m.event_index > trace.len() {
-                if !salvage {
+                if self.policy != ReadPolicy::Salvage {
                     return Err(StoreError::Corrupt(format!(
                         "marker `{}` points past the event stream",
                         m.label
@@ -1091,31 +1067,6 @@ impl<R: Read + Seek> StoreReader<R> {
         }
         Ok(trace)
     }
-
-    /// Dismantles the reader into its byte source and validated metadata —
-    /// the handoff into [`crate::SharedStoreReader`], which rebuilds the
-    /// same state around a positional (seek-free) source.
-    pub(crate) fn into_parts(self) -> (R, ReaderParts) {
-        (
-            self.src,
-            ReaderParts {
-                file_len: self.file_len,
-                version: self.version,
-                policy: self.policy,
-                footer: self.footer,
-                salvage: self.salvage,
-            },
-        )
-    }
-}
-
-/// The validated open-time state of a [`StoreReader`], minus its source.
-pub(crate) struct ReaderParts {
-    pub(crate) file_len: u64,
-    pub(crate) version: u8,
-    pub(crate) policy: ReadPolicy,
-    pub(crate) footer: Footer,
-    pub(crate) salvage: Option<SalvageSummary>,
 }
 
 #[cfg(test)]
@@ -1123,7 +1074,6 @@ mod tests {
     use super::*;
     use crate::writer::{write_store_chunked, write_store_chunked_v1, StoreWriter};
     use pinpoint_trace::{BlockId, EventKind, MemoryKind, TraceSink};
-    use std::io::Cursor;
 
     fn sample_trace() -> Trace {
         let mut t = Trace::new();
@@ -1164,7 +1114,7 @@ mod tests {
     fn round_trips_trace_exactly() {
         let t = sample_trace();
         let bytes = store_bytes(&t, 16);
-        let mut r = StoreReader::new(Cursor::new(bytes)).unwrap();
+        let r = StoreReader::new(bytes).unwrap();
         assert_eq!(r.version(), VERSION);
         assert_eq!(r.total_events(), t.len() as u64);
         let back = r.read_trace().unwrap();
@@ -1174,41 +1124,50 @@ mod tests {
     }
 
     #[test]
-    fn a_fired_cancel_token_aborts_a_scan_and_leaves_the_reader_usable() {
+    fn a_fetch_that_cancels_aborts_a_scan_and_leaves_the_reader_usable() {
+        use crate::cancel::CancelToken;
         use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
         use std::sync::Arc;
         let t = sample_trace();
         let bytes = store_bytes(&t, 16);
-        let mut r = StoreReader::new(Cursor::new(bytes)).unwrap();
-        let full = r.query(&Predicate::any(), 1).unwrap().events.len();
-
-        // fire after the first wave: the scan must stop mid-store
-        let polls = Arc::new(AtomicU64::new(0));
-        let token = {
-            let polls = Arc::clone(&polls);
-            crate::cancel::CancelToken::new(move || polls.fetch_add(1, Ordering::Relaxed) >= 1)
-        };
-        r.set_cancel(token);
-        let err = r.query(&Predicate::any(), 1).unwrap_err();
-        assert!(matches!(err, StoreError::Cancelled), "{err}");
         // salvage mode must also abort, not skip-and-account
-        r.set_policy(ReadPolicy::Salvage);
-        let err = r.query(&Predicate::any(), 1).unwrap_err();
-        assert!(matches!(err, StoreError::Cancelled), "{err}");
+        for policy in [ReadPolicy::Strict, ReadPolicy::Salvage] {
+            let r = StoreReader::new_with_policy(bytes.clone(), policy).unwrap();
+            let full = r.query(&Predicate::any(), 1).unwrap().events.len();
+            let index = &r.footer().chunks;
+            let cancelled_query = |token: CancelToken| {
+                let fetch = r.fetch(1);
+                crate::scan::query_chunks(index, &Predicate::any(), 1, policy, |i, m| {
+                    token.check()?;
+                    fetch(i, m)
+                })
+            };
 
-        // disarm: the reader answers fully again, bit-identically
-        r.set_cancel(crate::cancel::CancelToken::never());
-        r.set_policy(ReadPolicy::Strict);
-        assert_eq!(r.query(&Predicate::any(), 1).unwrap().events.len(), full);
+            // fire after the first fetch: the scan must stop mid-store
+            let polls = Arc::new(AtomicU64::new(0));
+            let token = {
+                let polls = Arc::clone(&polls);
+                CancelToken::new(move || polls.fetch_add(1, Ordering::Relaxed) >= 1)
+            };
+            let before = r.chunks_decoded();
+            let err = cancelled_query(token).unwrap_err();
+            assert!(matches!(err, StoreError::Cancelled), "{policy:?}: {err}");
+            assert!(
+                r.chunks_decoded() - before < r.num_chunks() as u64,
+                "{policy:?}: the cancelled scan decoded the whole store"
+            );
 
-        // an armed-but-quiet token costs nothing and cancels nothing
-        let flag = Arc::new(AtomicBool::new(false));
-        let quiet = {
-            let flag = Arc::clone(&flag);
-            crate::cancel::CancelToken::new(move || flag.load(Ordering::Relaxed))
-        };
-        r.set_cancel(quiet);
-        assert_eq!(r.query(&Predicate::any(), 1).unwrap().events.len(), full);
+            // the reader answers fully again, bit-identically
+            assert_eq!(r.query(&Predicate::any(), 1).unwrap().events.len(), full);
+
+            // an armed-but-quiet token costs nothing and cancels nothing
+            let flag = Arc::new(AtomicBool::new(false));
+            let quiet = {
+                let flag = Arc::clone(&flag);
+                CancelToken::new(move || flag.load(Ordering::Relaxed))
+            };
+            assert_eq!(cancelled_query(quiet).unwrap().events.len(), full);
+        }
     }
 
     #[test]
@@ -1216,7 +1175,7 @@ mod tests {
         let t = sample_trace();
         let mut bytes = Vec::new();
         write_store_chunked_v1(&t, &mut bytes, 16).unwrap();
-        let mut r = StoreReader::new(Cursor::new(bytes)).unwrap();
+        let r = StoreReader::new(bytes).unwrap();
         assert_eq!(r.version(), VERSION_V1);
         assert_eq!(r.read_trace().unwrap(), t);
     }
@@ -1225,7 +1184,7 @@ mod tests {
     fn time_range_query_prunes_chunks() {
         let t = sample_trace(); // 200 events, times 0..=995
         let bytes = store_bytes(&t, 16);
-        let mut r = StoreReader::new(Cursor::new(bytes)).unwrap();
+        let r = StoreReader::new(bytes).unwrap();
         let pred = Predicate::any().with_time_range(0, 50);
         let q = r.query(&pred, 1).unwrap();
         assert!(q.stats.chunks_total > 4);
@@ -1257,8 +1216,8 @@ mod tests {
                 .with_category(Category::Intermediates),
         ];
         for pred in preds {
-            let mut r1 = StoreReader::new(Cursor::new(bytes.clone())).unwrap();
-            let mut rn = StoreReader::new(Cursor::new(bytes.clone())).unwrap();
+            let r1 = StoreReader::new(bytes.clone()).unwrap();
+            let rn = StoreReader::new(bytes.clone()).unwrap();
             let a = r1.query(&pred, 1).unwrap();
             let b = rn.query(&pred, 8).unwrap();
             assert_eq!(a, b, "{pred:?}");
@@ -1299,7 +1258,7 @@ mod tests {
             );
         }
         let bytes = store_bytes(&t, 8);
-        let mut r = StoreReader::new(Cursor::new(bytes)).unwrap();
+        let r = StoreReader::new(bytes).unwrap();
         let q = r
             .query(&Predicate::any().with_kind(EventKind::Read), 1)
             .unwrap();
@@ -1338,7 +1297,7 @@ mod tests {
         // the hull matches every chunk either operand matches
         let t = sample_trace();
         let bytes = store_bytes(&t, 8);
-        let r = StoreReader::new(Cursor::new(bytes)).unwrap();
+        let r = StoreReader::new(bytes).unwrap();
         for meta in &r.footer().chunks {
             if a.matches_chunk(meta) || b.matches_chunk(meta) {
                 assert!(u.matches_chunk(meta), "{meta:?}");
@@ -1350,11 +1309,11 @@ mod tests {
     fn chunk_batch_read_matches_per_chunk_decode_and_counts() {
         let t = sample_trace();
         let bytes = store_bytes(&t, 16);
-        let mut r = StoreReader::new(Cursor::new(bytes.clone())).unwrap();
+        let r = StoreReader::new(bytes.clone()).unwrap();
         let picks = [0usize, 3, 1];
         let raw = r.read_chunk_batch(&picks).unwrap();
         assert_eq!(r.chunks_decoded(), picks.len() as u64);
-        let mut r2 = StoreReader::new(Cursor::new(bytes)).unwrap();
+        let r2 = StoreReader::new(bytes).unwrap();
         for (bytes, &i) in raw.iter().zip(&picks) {
             assert_eq!(
                 crate::format::decode_chunk(bytes, VERSION).unwrap(),
@@ -1372,23 +1331,20 @@ mod tests {
         // bad magic
         let mut b = bytes.clone();
         b[0] = b'X';
-        assert!(matches!(
-            StoreReader::new(Cursor::new(b)),
-            Err(StoreError::BadMagic)
-        ));
+        assert!(matches!(StoreReader::new(b), Err(StoreError::BadMagic)));
         // bad version
         let mut b = bytes.clone();
         b[4] = 99;
         assert!(matches!(
-            StoreReader::new(Cursor::new(b)),
+            StoreReader::new(b),
             Err(StoreError::UnsupportedVersion(99))
         ));
         // truncated trailer
         let b = bytes[..bytes.len() - 3].to_vec();
-        assert!(StoreReader::new(Cursor::new(b)).is_err());
+        assert!(StoreReader::new(b).is_err());
         // not a store at all
         assert!(matches!(
-            StoreReader::new(Cursor::new(b"{\"events\":[]}".to_vec())),
+            StoreReader::new(b"{\"events\":[]}".to_vec()),
             Err(StoreError::BadMagic)
         ));
     }
@@ -1397,11 +1353,11 @@ mod tests {
     fn flipped_chunk_byte_is_a_checksum_error_in_strict() {
         let t = sample_trace();
         let bytes = store_bytes(&t, 16);
-        let r = StoreReader::new(Cursor::new(bytes.clone())).unwrap();
+        let r = StoreReader::new(bytes.clone()).unwrap();
         let meta = r.footer().chunks[2];
         let mut b = bytes;
         b[meta.offset as usize + 3] ^= 0x40;
-        let mut r = StoreReader::new(Cursor::new(b)).unwrap();
+        let r = StoreReader::new(b).unwrap();
         match r.decode_chunk_events(2) {
             Err(StoreError::ChecksumMismatch { chunk: 2, .. }) => {}
             other => panic!("expected checksum mismatch, got {other:?}"),
@@ -1412,13 +1368,13 @@ mod tests {
     fn salvage_query_skips_corrupt_chunks_with_exact_accounting() {
         let t = sample_trace();
         let bytes = store_bytes(&t, 16);
-        let pristine = StoreReader::new(Cursor::new(bytes.clone())).unwrap();
+        let pristine = StoreReader::new(bytes.clone()).unwrap();
         let broken = 3usize;
         let meta = pristine.footer().chunks[broken];
         let mut b = bytes;
         b[meta.offset as usize] ^= 0xFF;
 
-        let mut r = StoreReader::new_with_policy(Cursor::new(b), ReadPolicy::Salvage).unwrap();
+        let r = StoreReader::new_with_policy(b, ReadPolicy::Salvage).unwrap();
         assert!(r.salvage_summary().is_none(), "footer is fine");
         let q = r.query(&Predicate::any(), 1).unwrap();
         assert_eq!(q.stats.chunks_skipped, 1);
@@ -1441,7 +1397,7 @@ mod tests {
     fn salvage_rebuilds_index_from_chunks_when_footer_dies() {
         let t = sample_trace();
         let bytes = store_bytes(&t, 16);
-        let pristine = StoreReader::new(Cursor::new(bytes.clone())).unwrap();
+        let pristine = StoreReader::new(bytes.clone()).unwrap();
         let n_chunks = pristine.num_chunks();
         let footer_start = pristine
             .footer()
@@ -1452,8 +1408,8 @@ mod tests {
         // kill the whole footer + trailer
         let b = bytes[..footer_start].to_vec();
 
-        assert!(StoreReader::new(Cursor::new(b.clone())).is_err());
-        let mut r = StoreReader::new_with_policy(Cursor::new(b), ReadPolicy::Salvage).unwrap();
+        assert!(StoreReader::new(b.clone()).is_err());
+        let r = StoreReader::new_with_policy(b, ReadPolicy::Salvage).unwrap();
         let s = r.salvage_summary().unwrap().clone();
         assert_eq!(s.chunks_recovered, n_chunks);
         assert_eq!(s.events_recovered, t.len() as u64);
@@ -1469,12 +1425,12 @@ mod tests {
         let t = sample_trace();
         let mut bytes = Vec::new();
         write_store_chunked_v1(&t, &mut bytes, 16).unwrap();
-        let pristine = StoreReader::new(Cursor::new(bytes.clone())).unwrap();
+        let pristine = StoreReader::new(bytes.clone()).unwrap();
         let chunks = pristine.footer().chunks.clone();
         // cut mid-way through chunk 4
         let cut = (chunks[4].offset + chunks[4].byte_len / 2) as usize;
         let b = bytes[..cut].to_vec();
-        let mut r = StoreReader::new_with_policy(Cursor::new(b), ReadPolicy::Salvage).unwrap();
+        let r = StoreReader::new_with_policy(b, ReadPolicy::Salvage).unwrap();
         assert_eq!(r.salvage_summary().unwrap().chunks_recovered, 4);
         let back = r.read_trace().unwrap();
         assert_eq!(back.events(), &t.events()[..4 * 16]);
@@ -1484,13 +1440,13 @@ mod tests {
     fn scrub_drops_corrupt_chunks_and_remaps_markers() {
         let t = sample_trace();
         let bytes = store_bytes(&t, 16);
-        let pristine = StoreReader::new(Cursor::new(bytes.clone())).unwrap();
+        let pristine = StoreReader::new(bytes.clone()).unwrap();
         let broken = 1usize;
         let meta = pristine.footer().chunks[broken];
         let mut b = bytes;
         b[meta.offset as usize + 1] ^= 0x08;
 
-        let mut r = StoreReader::new_with_policy(Cursor::new(b), ReadPolicy::Salvage).unwrap();
+        let r = StoreReader::new_with_policy(b, ReadPolicy::Salvage).unwrap();
         let mut w = StoreWriter::with_chunk_events(Vec::new(), 16).unwrap();
         let stats = r.scrub_into(&mut w).unwrap();
         w.finish().unwrap();
@@ -1499,7 +1455,7 @@ mod tests {
         assert_eq!(stats.events_kept, t.len() as u64 - meta.count);
         assert_eq!(stats.events_lost, meta.count);
 
-        let mut back = StoreReader::new(Cursor::new(w.into_inner())).unwrap();
+        let back = StoreReader::new(w.into_inner()).unwrap();
         assert!(back.verify_chunks().unwrap().is_empty());
         let scrubbed = back.read_trace().unwrap();
         let expect: Vec<_> = t
@@ -1522,13 +1478,13 @@ mod tests {
     fn verify_chunks_pinpoints_damage() {
         let t = sample_trace();
         let bytes = store_bytes(&t, 16);
-        let pristine = StoreReader::new(Cursor::new(bytes.clone())).unwrap();
+        let pristine = StoreReader::new(bytes.clone()).unwrap();
         let metas = pristine.footer().chunks.clone();
         let mut b = bytes;
         for broken in [2usize, 5] {
             b[metas[broken].offset as usize + 2] ^= 0x01;
         }
-        let mut r = StoreReader::new(Cursor::new(b)).unwrap();
+        let r = StoreReader::new(b).unwrap();
         let faults = r.verify_chunks().unwrap();
         assert_eq!(
             faults.iter().map(|f| f.chunk).collect::<Vec<_>>(),
@@ -1557,5 +1513,62 @@ mod tests {
         }
         w.finish().unwrap();
         assert_eq!(w.into_inner(), batch, "same bytes either way");
+    }
+
+    #[test]
+    fn eight_concurrent_queries_are_bit_identical() {
+        let t = sample_trace();
+        let r = std::sync::Arc::new(StoreReader::new(store_bytes(&t, 16)).unwrap());
+        let pred = Predicate::any()
+            .with_kind(EventKind::Write)
+            .with_time_range(0, 1000);
+        let want = r.query(&pred, 1).unwrap();
+        let results: Vec<QueryResult> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|k| {
+                    let r = std::sync::Arc::clone(&r);
+                    s.spawn(move || r.query(&pred, 1 + k % 3).unwrap())
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for got in results {
+            assert_eq!(got, want, "concurrent query diverged");
+        }
+        assert!(r.chunks_decoded() > 0);
+    }
+
+    #[test]
+    fn strict_fails_where_salvage_skips_with_accounting() {
+        let t = sample_trace();
+        let bytes = store_bytes(&t, 16);
+        let pristine = StoreReader::new(bytes.clone()).unwrap();
+        let meta = pristine.footer().chunks[2];
+        let mut b = bytes;
+        b[meta.offset as usize + 1] ^= 0x10;
+        let salvage = StoreReader::new_with_policy(b.clone(), ReadPolicy::Salvage).unwrap();
+        let want = salvage.query(&Predicate::any(), 1).unwrap();
+        assert_eq!(want.stats.chunks_skipped, 1);
+        assert_eq!(salvage.query(&Predicate::any(), 4).unwrap(), want);
+        // strict sees the same bytes as an error instead
+        let strict = StoreReader::new(b).unwrap();
+        assert!(strict.query(&Predicate::any(), 1).is_err());
+    }
+
+    #[test]
+    fn owned_decode_matches_event_stream_and_counts() {
+        let t = sample_trace();
+        let r = StoreReader::new(store_bytes(&t, 16)).unwrap();
+        let mut all = Vec::new();
+        for i in 0..r.num_chunks() {
+            let batch = r.decode_chunk(i).unwrap();
+            assert!(batch.heap_bytes() > 0);
+            for k in 0..batch.len() {
+                all.push(batch.event(k));
+            }
+        }
+        assert_eq!(all, t.events());
+        assert_eq!(r.chunks_decoded(), r.num_chunks() as u64);
+        assert!(r.decode_chunk(usize::MAX).is_err());
     }
 }

@@ -10,7 +10,6 @@ use pinpoint::analysis::{
 use pinpoint::store::{write_store_chunked, StoreReader};
 use pinpoint::tensor::rng::Rng64;
 use pinpoint::trace::{BlockId, EventKind, Marker, MemEvent, MemoryKind, Trace};
-use std::io::Cursor;
 
 /// Generates a pseudo-random trace: arbitrary event mixes, shared and
 /// fresh blocks, op labels, markers (mirrors `store_roundtrip.rs`).
@@ -69,10 +68,10 @@ fn arbitrary_trace(rng: &mut Rng64, events: usize) -> Trace {
     t
 }
 
-fn store_of(t: &Trace, chunk: usize) -> StoreReader<Cursor<Vec<u8>>> {
+fn store_of(t: &Trace, chunk: usize) -> StoreReader {
     let mut bytes = Vec::new();
     write_store_chunked(t, &mut bytes, chunk).unwrap();
-    StoreReader::new(Cursor::new(bytes)).unwrap()
+    StoreReader::new(bytes).unwrap()
 }
 
 /// The five standalone sequential passes — the oracle the fused engine
@@ -145,9 +144,11 @@ fn fused_five_passes_match_standalone_on_arbitrary_traces() {
             assert_eq!(out.take(outliers), want.outliers, "{tag}");
 
             // `.ptrc` fused run
-            let mut r = store_of(&t, chunk);
+            let r = store_of(&t, chunk);
             let (pipe, ati, peak, breakdown, gantt, outliers) = five_fold_pipeline(criteria, end);
-            let mut out = pipe.run_store(&mut r, threads).unwrap();
+            let mut out = pipe
+                .run_chunks(&r.footer().chunks, threads, r.policy(), r.fetch(threads))
+                .unwrap();
             let tag = format!("case {case}, chunk {chunk}, threads {threads}, store");
             assert_eq!(out.take(ati), want.ati, "{tag}");
             assert_eq!(out.take(peak), want.peak, "{tag}");
@@ -162,7 +163,7 @@ fn fused_five_passes_match_standalone_on_arbitrary_traces() {
 fn fused_five_pass_run_decodes_each_chunk_exactly_once() {
     let mut rng = Rng64::seed_from_u64(0x0dec_0de1);
     let t = arbitrary_trace(&mut rng, 600);
-    let mut r = store_of(&t, 32);
+    let r = store_of(&t, 32);
     let chunks = r.num_chunks();
     assert!(chunks >= 10, "need many chunks, got {chunks}");
     let criteria = OutlierCriteria {
@@ -170,7 +171,9 @@ fn fused_five_pass_run_decodes_each_chunk_exactly_once() {
         min_size_bytes: 1,
     };
     let (pipe, ati, ..) = five_fold_pipeline(criteria, t.end_time_ns());
-    let out = pipe.run_store(&mut r, 4).unwrap();
+    let out = pipe
+        .run_chunks(&r.footer().chunks, 4, r.policy(), r.fetch(4))
+        .unwrap();
     // five consumers, one decode per chunk — not five
     assert_eq!(r.chunks_decoded(), chunks as u64);
     assert_eq!(out.stats().chunks_decoded, chunks);
@@ -186,13 +189,15 @@ fn alloc_only_pipeline_prunes_chunks_but_stays_exact() {
     let mut rng = Rng64::seed_from_u64(0x9a7e_5007);
     for case in 0..10 {
         let t = arbitrary_trace(&mut rng, 400);
-        let mut r = store_of(&t, 16);
+        let r = store_of(&t, 16);
         let mut pipe = FusedPipeline::new();
         let peak = pipe.register(PeakFold);
         let breakdown = pipe.register(BreakdownFold {
             label: "trace".to_string(),
         });
-        let mut out = pipe.run_store(&mut r, 1).unwrap();
+        let mut out = pipe
+            .run_chunks(&r.footer().chunks, 1, r.policy(), r.fetch(1))
+            .unwrap();
         assert_eq!(out.take(peak), t.peak_live_bytes(), "case {case}");
         assert_eq!(
             out.take(breakdown),

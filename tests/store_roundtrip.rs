@@ -3,15 +3,15 @@
 //! (pushdown skips chunks; the binary format is much smaller than JSON).
 
 use pinpoint::analysis::{
-    ati_from_store, breakdown_from_store, gantt_from_store, gantt_rects, outliers_from_store, sift,
-    AtiDataset, BreakdownRow, OutlierCriteria,
+    fold_store, gantt_rects, sift, AtiDataset, AtiFold, BreakdownFold, BreakdownRow, GanttFold,
+    OutlierCriteria, OutlierFold,
 };
 use pinpoint::core::{profile, ProfileConfig};
+use pinpoint::parallel::configured_threads;
 use pinpoint::store::{write_store_chunked, Predicate, StoreReader};
 use pinpoint::tensor::rng::Rng64;
 use pinpoint::trace::export::{json_string, read_json, write_json};
 use pinpoint::trace::{BlockId, EventKind, Marker, MemEvent, MemoryKind, Trace};
-use std::io::Cursor;
 
 /// Generates a pseudo-random trace: arbitrary event mixes, shared and
 /// fresh blocks, op labels, markers — everything the wire formats carry.
@@ -91,7 +91,7 @@ fn store_round_trip_is_lossless_for_arbitrary_traces() {
         let t = arbitrary_trace(&mut rng, events);
         let mut bytes = Vec::new();
         write_store_chunked(&t, &mut bytes, chunk).unwrap();
-        let mut r = StoreReader::new(Cursor::new(bytes)).unwrap();
+        let r = StoreReader::new(bytes).unwrap();
         let back = r.read_trace().unwrap();
         assert_eq!(
             back, t,
@@ -104,37 +104,53 @@ fn profiled_trace() -> Trace {
     profile(&ProfileConfig::mlp_case_study(8)).unwrap().trace
 }
 
-fn store_of(t: &Trace, chunk: usize) -> StoreReader<Cursor<Vec<u8>>> {
+fn store_of(t: &Trace, chunk: usize) -> StoreReader {
     let mut bytes = Vec::new();
     write_store_chunked(t, &mut bytes, chunk).unwrap();
-    StoreReader::new(Cursor::new(bytes)).unwrap()
+    StoreReader::new(bytes).unwrap()
 }
 
 #[test]
 fn analyses_from_store_are_bit_identical_to_in_memory() {
     let t = profiled_trace();
-    let mut r = store_of(&t, 512);
+    let r = store_of(&t, 512);
 
     let ati_mem = AtiDataset::from_trace(&t);
-    assert_eq!(ati_from_store(&mut r).unwrap(), ati_mem);
+    assert_eq!(
+        fold_store(&r, AtiFold, configured_threads()).unwrap(),
+        ati_mem
+    );
 
     let criteria = OutlierCriteria {
         min_ati_ns: 1_000,
         min_size_bytes: 1_000,
     };
     assert_eq!(
-        outliers_from_store(&mut r, criteria).unwrap(),
+        fold_store(&r, OutlierFold { criteria }, configured_threads()).unwrap(),
         sift(&ati_mem, criteria)
     );
 
     assert_eq!(
-        breakdown_from_store("w", &mut r).unwrap(),
+        fold_store(
+            &r,
+            BreakdownFold { label: "w".into() },
+            configured_threads()
+        )
+        .unwrap(),
         BreakdownRow::from_trace("w", &t)
     );
 
     let end = t.end_time_ns();
     assert_eq!(
-        gantt_from_store(&mut r, 0, end).unwrap(),
+        fold_store(
+            &r,
+            GanttFold {
+                t_start: 0,
+                t_end: end
+            },
+            configured_threads()
+        )
+        .unwrap(),
         gantt_rects(&t, 0, end)
     );
 }
@@ -143,7 +159,7 @@ fn analyses_from_store_are_bit_identical_to_in_memory() {
 fn full_query_is_thread_count_invariant_on_profiled_trace() {
     let t = profiled_trace();
     for threads in [1, 4] {
-        let mut r = store_of(&t, 256);
+        let r = store_of(&t, 256);
         let q = r.query(&Predicate::any(), threads).unwrap();
         assert_eq!(q.events, t.events(), "threads={threads}");
         assert_eq!(q.stats.chunks_pruned, 0);
@@ -153,7 +169,7 @@ fn full_query_is_thread_count_invariant_on_profiled_trace() {
 #[test]
 fn narrow_time_query_decodes_under_half_the_chunks() {
     let t = profiled_trace();
-    let mut r = store_of(&t, 32);
+    let r = store_of(&t, 32);
     let total = r.num_chunks();
     assert!(
         total >= 20,
