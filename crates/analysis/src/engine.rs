@@ -25,11 +25,13 @@ use pinpoint_store::{
 };
 use pinpoint_trace::{BlockId, Category, EventKind, MemEvent, MemoryKind, PeakUsage, Trace};
 use std::any::Any;
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
 use std::marker::PhantomData;
 use std::ops::Deref;
+use std::sync::{Mutex, PoisonError};
 
 /// One analysis pass expressed as a chunk-parallel fold.
 ///
@@ -92,9 +94,16 @@ pub trait EventFold: Send + Sync {
     /// columnar implementation. The engine materializes each event
     /// **once per chunk** and shares it among every non-columnar fold in
     /// the pipeline; columnar folds are handed the raw batch instead,
-    /// so a five-fold report never builds an event more than once.
+    /// so a multi-fold pipeline never builds an event more than once.
     fn columnar(&self) -> bool {
         false
+    }
+
+    /// Short name under which the engine attributes this fold's cost:
+    /// its share of every chunk runs inside an `engine.fold.<name>` span
+    /// and its `finish` inside `engine.finish.<name>`.
+    fn name(&self) -> &'static str {
+        "custom"
     }
 }
 
@@ -107,7 +116,7 @@ type DynAcc = Box<dyn Any + Send>;
 trait DynFold: Send + Sync {
     fn predicate_dyn(&self) -> Predicate;
     fn new_acc_dyn(&self) -> DynAcc;
-    fn push_dyn(&self, acc: &mut DynAcc, e: &MemEvent);
+    fn push_events_dyn(&self, acc: &mut DynAcc, events: &[MemEvent], pred: &Predicate);
     fn push_batch_dyn(&self, acc: &mut DynAcc, batch: &ColumnBatch, pred: &Predicate);
     fn columnar_dyn(&self) -> bool;
     fn merge_dyn(&self, a: DynAcc, b: DynAcc) -> DynAcc;
@@ -121,9 +130,13 @@ impl<F: EventFold> DynFold for F {
     fn new_acc_dyn(&self) -> DynAcc {
         Box::new(self.new_acc())
     }
-    fn push_dyn(&self, acc: &mut DynAcc, e: &MemEvent) {
+    fn push_events_dyn(&self, acc: &mut DynAcc, events: &[MemEvent], pred: &Predicate) {
         let acc = acc.downcast_mut::<F::Acc>().expect("fold acc type");
-        self.push(acc, e);
+        for e in events {
+            if pred.matches_event(e) {
+                self.push(acc, e);
+            }
+        }
     }
     fn push_batch_dyn(&self, acc: &mut DynAcc, batch: &ColumnBatch, pred: &Predicate) {
         let acc = acc.downcast_mut::<F::Acc>().expect("fold acc type");
@@ -225,7 +238,32 @@ impl FusedOutputs {
 /// ```
 #[derive(Default)]
 pub struct FusedPipeline {
-    folds: Vec<Box<dyn DynFold>>,
+    folds: Vec<Registered>,
+}
+
+/// A registered fold with the span names its cost is attributed to.
+struct Registered {
+    fold: Box<dyn DynFold>,
+    fold_span: &'static str,
+    finish_span: &'static str,
+}
+
+/// The `engine.fold.<name>` and `engine.finish.<name>` span names of a
+/// fold name. Spans carry `&'static str`, so each distinct name is
+/// formatted and leaked once; fold names are themselves `'static`, which
+/// bounds the table by the fold types a program registers.
+fn span_names(name: &'static str) -> (&'static str, &'static str) {
+    type Names = Vec<(&'static str, &'static str, &'static str)>;
+    static NAMES: Mutex<Names> = Mutex::new(Vec::new());
+    let mut names = NAMES.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(&(_, fold, finish)) = names.iter().find(|(n, ..)| *n == name) {
+        return (fold, finish);
+    }
+    let leak = |s: String| -> &'static str { Box::leak(s.into_boxed_str()) };
+    let fold = leak(format!("engine.fold.{name}"));
+    let finish = leak(format!("engine.finish.{name}"));
+    names.push((name, fold, finish));
+    (fold, finish)
 }
 
 impl fmt::Debug for FusedPipeline {
@@ -246,7 +284,12 @@ impl FusedPipeline {
     /// a run.
     pub fn register<F: EventFold + 'static>(&mut self, fold: F) -> FoldHandle<F::Output> {
         let index = self.folds.len();
-        self.folds.push(Box::new(fold));
+        let (fold_span, finish_span) = span_names(fold.name());
+        self.folds.push(Registered {
+            fold: Box::new(fold),
+            fold_span,
+            finish_span,
+        });
         FoldHandle {
             index,
             _output: PhantomData,
@@ -270,7 +313,7 @@ impl FusedPipeline {
     pub fn union_predicate(&self) -> Predicate {
         self.folds
             .iter()
-            .map(|f| f.predicate_dyn())
+            .map(|f| f.fold.predicate_dyn())
             .reduce(|a, b| a.union(&b))
             .unwrap_or_else(Predicate::any)
     }
@@ -318,7 +361,7 @@ impl FusedPipeline {
             };
             return Ok(self.finalize(None, stats));
         }
-        let preds: Vec<Predicate> = self.folds.iter().map(|f| f.predicate_dyn()).collect();
+        let preds: Vec<Predicate> = self.folds.iter().map(|f| f.fold.predicate_dyn()).collect();
         let folds = &self.folds;
         let mut merged: Option<Vec<DynAcc>> = None;
         let stats = scan_ordered(
@@ -346,7 +389,7 @@ impl FusedPipeline {
         let _run_span = pinpoint_obs::tracer().span_with("engine.run", self.folds.len() as u64);
         let chunks: Vec<&[MemEvent]> = trace.events().chunks(DEFAULT_CHUNK_EVENTS).collect();
         let chunks_total = chunks.len();
-        let preds: Vec<Predicate> = self.folds.iter().map(|f| f.predicate_dyn()).collect();
+        let preds: Vec<Predicate> = self.folds.iter().map(|f| f.fold.predicate_dyn()).collect();
         let folds = &self.folds;
         let (merged, events_scanned) = pinpoint_parallel::map_reduce_ordered(
             chunks,
@@ -369,69 +412,78 @@ impl FusedPipeline {
     /// Merged accumulators → outputs (empty input → empty-fold outputs).
     fn finalize(&self, merged: Option<Vec<DynAcc>>, stats: FusedStats) -> FusedOutputs {
         let _finish_span = pinpoint_obs::tracer().span("engine.finish");
-        let accs = merged.unwrap_or_else(|| self.folds.iter().map(|f| f.new_acc_dyn()).collect());
+        let accs = merged.unwrap_or_else(|| new_accs(&self.folds));
         let outputs = self
             .folds
             .iter()
             .zip(accs)
-            .map(|(f, a)| Some(f.finish_dyn(a)))
+            .map(|(f, a)| {
+                let _span = pinpoint_obs::tracer().span(f.finish_span);
+                Some(f.fold.finish_dyn(a))
+            })
             .collect();
         FusedOutputs { outputs, stats }
     }
 }
 
+fn new_accs(folds: &[Registered]) -> Vec<DynAcc> {
+    folds.iter().map(|f| f.fold.new_acc_dyn()).collect()
+}
+
 /// Folds one decoded column batch into fresh per-fold accumulators.
 ///
 /// Columnar folds consume the batch directly (never building an event);
-/// all remaining folds share a single materialization loop, so each
-/// event is built at most once per chunk however many folds registered.
-fn fold_chunk_batch(
-    folds: &[Box<dyn DynFold>],
-    preds: &[Predicate],
-    batch: &ColumnBatch,
-) -> Vec<DynAcc> {
+/// the events of all remaining folds are materialized once per chunk and
+/// shared, however many folds registered.
+fn fold_chunk_batch(folds: &[Registered], preds: &[Predicate], batch: &ColumnBatch) -> Vec<DynAcc> {
     let _fold_span = pinpoint_obs::tracer().span_with("engine.fold", batch.len() as u64);
-    let mut accs: Vec<DynAcc> = folds.iter().map(|f| f.new_acc_dyn()).collect();
-    let mut shared: Vec<usize> = Vec::new();
-    for (j, fold) in folds.iter().enumerate() {
-        if fold.columnar_dyn() {
-            fold.push_batch_dyn(&mut accs[j], batch, &preds[j]);
+    let mut accs = new_accs(folds);
+    let mut shared = Vec::new();
+    for (j, f) in folds.iter().enumerate() {
+        if f.fold.columnar_dyn() {
+            let _span = pinpoint_obs::tracer().span(f.fold_span);
+            f.fold.push_batch_dyn(&mut accs[j], batch, &preds[j]);
         } else {
             shared.push(j);
         }
     }
     if !shared.is_empty() {
-        for i in 0..batch.len() {
-            let e = batch.event(i);
-            for &j in &shared {
-                if preds[j].matches_event(&e) {
-                    folds[j].push_dyn(&mut accs[j], &e);
-                }
-            }
-        }
+        let events: Vec<MemEvent> = (0..batch.len()).map(|i| batch.event(i)).collect();
+        push_events(folds, preds, &events, &mut accs, shared);
     }
     accs
 }
 
 /// Folds one chunk of already-materialized events into fresh per-fold
 /// accumulators (the [`FusedPipeline::run_trace`] path).
-fn fold_chunk(folds: &[Box<dyn DynFold>], preds: &[Predicate], events: &[MemEvent]) -> Vec<DynAcc> {
+fn fold_chunk(folds: &[Registered], preds: &[Predicate], events: &[MemEvent]) -> Vec<DynAcc> {
     let _fold_span = pinpoint_obs::tracer().span_with("engine.fold", events.len() as u64);
-    let mut accs: Vec<DynAcc> = folds.iter().map(|f| f.new_acc_dyn()).collect();
-    for e in events {
-        for ((fold, pred), acc) in folds.iter().zip(preds).zip(&mut accs) {
-            if pred.matches_event(e) {
-                fold.push_dyn(acc, e);
-            }
-        }
-    }
+    let mut accs = new_accs(folds);
+    push_events(folds, preds, events, &mut accs, 0..folds.len());
     accs
+}
+
+/// Pushes `events` into the accumulators of the folds at indices `which`,
+/// one fold at a time, each inside its own fold span.
+fn push_events(
+    folds: &[Registered],
+    preds: &[Predicate],
+    events: &[MemEvent],
+    accs: &mut [DynAcc],
+    which: impl IntoIterator<Item = usize>,
+) {
+    for j in which {
+        let _span = pinpoint_obs::tracer().span(folds[j].fold_span);
+        folds[j]
+            .fold
+            .push_events_dyn(&mut accs[j], events, &preds[j]);
+    }
 }
 
 /// In-order reduce step: merge the next chunk's accumulators into the
 /// running ones (earlier chunks on the left).
 fn merge_accs(
-    folds: &[Box<dyn DynFold>],
+    folds: &[Registered],
     acc: Option<Vec<DynAcc>>,
     next: Vec<DynAcc>,
 ) -> Option<Vec<DynAcc>> {
@@ -441,9 +493,117 @@ fn merge_accs(
             .into_iter()
             .zip(next)
             .zip(folds)
-            .map(|((a, b), f)| f.merge_dyn(a, b))
+            .map(|((a, b), f)| f.fold.merge_dyn(a, b))
             .collect(),
     })
+}
+
+// ---------------------------------------------------------------------------
+// Dense per-block fold state.
+// ---------------------------------------------------------------------------
+
+/// Slot value of an id the table holds no entry for.
+const NO_SLOT: u32 = u32::MAX;
+/// Ids below this always index the slot table (at most 256 KiB of slots)…
+const DENSE_FLOOR: u64 = 1 << 16;
+/// …and so do ids below this many times the number of blocks held, so a
+/// trace's sequential ids stay dense however many blocks it has.
+const DENSITY: u64 = 8;
+
+/// Per-block fold state keyed by [`BlockId`]: a compact entry list in
+/// first-seen order, plus one `u32` slot per id so that a lookup is an
+/// index instead of a tree walk.
+///
+/// Every allocator hands out sequential ids, so the slot table stays
+/// dense. It grows by doubling, and only to cover an id below
+/// `max(DENSE_FLOOR, DENSITY × (blocks + 1))`; a sparse or hostile id
+/// (`u64::MAX`, say) goes to an ordered overflow map instead. The slot
+/// table is therefore at most `2 × max(DENSE_FLOOR, DENSITY × blocks)`
+/// slots: O(blocks held) plus a constant, whatever the ids.
+#[derive(Debug)]
+struct BlockTable<S> {
+    /// Every block's state, in first-seen order.
+    entries: Vec<(BlockId, S)>,
+    /// `entries` index of each id below `slots.len()`, or [`NO_SLOT`].
+    slots: Vec<u32>,
+    /// `entries` index of each held id at or past `slots.len()`.
+    overflow: BTreeMap<u64, u32>,
+}
+
+impl<S> Default for BlockTable<S> {
+    fn default() -> Self {
+        BlockTable {
+            entries: Vec::new(),
+            slots: Vec::new(),
+            overflow: BTreeMap::new(),
+        }
+    }
+}
+
+impl<S> BlockTable<S> {
+    fn index(&self, id: BlockId) -> Option<usize> {
+        let slot = if id.0 < self.slots.len() as u64 {
+            self.slots[id.0 as usize]
+        } else {
+            *self.overflow.get(&id.0)?
+        };
+        (slot != NO_SLOT).then_some(slot as usize)
+    }
+
+    fn get(&self, id: BlockId) -> Option<&S> {
+        self.index(id).map(|i| &self.entries[i].1)
+    }
+
+    fn get_mut(&mut self, id: BlockId) -> Option<&mut S> {
+        self.index(id).map(|i| &mut self.entries[i].1)
+    }
+
+    fn get_or_insert_with(&mut self, id: BlockId, new: impl FnOnce() -> S) -> &mut S {
+        match self.index(id) {
+            Some(i) => &mut self.entries[i].1,
+            None => self.insert(id, new()),
+        }
+    }
+
+    /// Adds a block the table does not hold yet.
+    fn insert(&mut self, id: BlockId, state: S) -> &mut S {
+        let i = self.entries.len();
+        let slot = u32::try_from(i)
+            .ok()
+            .filter(|&s| s != NO_SLOT)
+            .expect("fewer than 2^32 - 1 blocks per accumulator");
+        let dense_limit = DENSE_FLOOR.max(DENSITY.saturating_mul(i as u64 + 1));
+        if id.0 >= self.slots.len() as u64 && id.0 < dense_limit {
+            self.grow(id.0 + 1);
+        }
+        if id.0 < self.slots.len() as u64 {
+            self.slots[id.0 as usize] = slot;
+        } else {
+            self.overflow.insert(id.0, slot);
+        }
+        self.entries.push((id, state));
+        &mut self.entries[i].1
+    }
+
+    /// Doubles the slot table until it covers `min_len` ids, moving in
+    /// the overflow ids it now covers.
+    fn grow(&mut self, min_len: u64) {
+        let len = min_len.next_power_of_two();
+        self.slots.resize(len as usize, NO_SLOT);
+        let rest = self.overflow.split_off(&len);
+        for (id, slot) in std::mem::replace(&mut self.overflow, rest) {
+            self.slots[id as usize] = slot;
+        }
+    }
+
+    /// Every block's state, in first-seen order.
+    fn entries(&self) -> &[(BlockId, S)] {
+        &self.entries
+    }
+
+    fn into_entries(self) -> Vec<(BlockId, S)> {
+        self.entries
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -477,10 +637,13 @@ struct PendingAti {
 }
 
 /// Accumulator of [`AtiFold`]: per-block scalar state plus the intervals
-/// closed so far, in per-block chronological order.
+/// closed so far, as runs in chronological order.
 #[derive(Debug, Default)]
 pub struct AtiAcc {
-    blocks: BTreeMap<BlockId, AtiBlockState>,
+    blocks: BlockTable<AtiBlockState>,
+    /// Earlier runs: one per merged-in span, and one per merge's bridges.
+    runs: Vec<Vec<PendingAti>>,
+    /// The latest run: intervals this accumulator's own events closed.
     pending: Vec<PendingAti>,
 }
 
@@ -490,7 +653,7 @@ pub struct AtiAcc {
 pub struct AtiFold;
 
 fn ati_push(acc: &mut AtiAcc, e: &MemEvent) {
-    let st = acc.blocks.entry(e.block).or_insert(AtiBlockState {
+    let st = acc.blocks.get_or_insert_with(e.block, || AtiBlockState {
         fallback_size: e.size,
         fallback_kind: e.mem_kind,
         malloc_meta: None,
@@ -517,74 +680,121 @@ fn ati_push(acc: &mut AtiAcc, e: &MemEvent) {
     }
 }
 
+/// Batch twin of [`ati_push`] for [`AtiFold`] and [`OutlierFold`]: their
+/// predicate matches every event, so nothing is filtered and each event
+/// is built on the stack, never collected.
+fn ati_push_batch(acc: &mut AtiAcc, batch: &ColumnBatch) {
+    for i in 0..batch.len() {
+        ati_push(acc, &batch.event(i));
+    }
+}
+
 fn ati_merge(mut a: AtiAcc, b: AtiAcc) -> AtiAcc {
     let AtiAcc {
         blocks: b_blocks,
+        runs: b_runs,
         pending: b_pending,
     } = b;
-    for (block, sb) in b_blocks {
-        match a.blocks.entry(block) {
-            Entry::Vacant(v) => {
-                v.insert(sb);
-            }
-            Entry::Occupied(mut o) => {
-                let sa = o.get_mut();
-                // Bridge the interval spanning the two accumulators'
-                // event spans: A's last access → B's first.
-                if let (Some((ta, _)), Some((tb, kb))) = (sa.last_access, sb.first_access) {
-                    a.pending.push(PendingAti {
-                        block,
-                        interval_ns: tb - ta,
-                        end_time_ns: tb,
-                        closing_kind: kb,
-                    });
-                }
-                sa.malloc_meta = sb.malloc_meta.or(sa.malloc_meta);
-                if sa.first_access.is_none() {
-                    sa.first_access = sb.first_access;
-                }
-                if sb.last_access.is_some() {
-                    sa.last_access = sb.last_access;
-                }
-            }
+    let mut bridges = Vec::new();
+    // B's blocks in first-seen order: any order keeps each block's
+    // intervals chronological, which is all the final sort relies on.
+    for (block, sb) in b_blocks.into_entries() {
+        let Some(sa) = a.blocks.get_mut(block) else {
+            a.blocks.insert(block, sb);
+            continue;
+        };
+        // Bridge the interval spanning the two accumulators' event spans:
+        // A's last access → B's first.
+        if let (Some((ta, _)), Some((tb, kb))) = (sa.last_access, sb.first_access) {
+            bridges.push(PendingAti {
+                block,
+                interval_ns: tb - ta,
+                end_time_ns: tb,
+                closing_kind: kb,
+            });
+        }
+        sa.malloc_meta = sb.malloc_meta.or(sa.malloc_meta);
+        if sa.first_access.is_none() {
+            sa.first_access = sb.first_access;
+        }
+        if sb.last_access.is_some() {
+            sa.last_access = sb.last_access;
         }
     }
-    // A's intervals, then the bridges (closed by B's first accesses),
-    // then B's: per-block chronological order is preserved, which the
-    // final stable sort relies on for bit-identity with the sequential
-    // pass.
-    a.pending.extend(b_pending);
+    // A's runs, then the bridges (closed by B's first accesses), then
+    // B's: per-block chronological order is preserved, which the final
+    // merge relies on for bit-identity with the sequential pass.
+    let a_pending = std::mem::take(&mut a.pending);
+    a.runs.extend(
+        [a_pending, bridges]
+            .into_iter()
+            .chain(b_runs)
+            .filter(|run| !run.is_empty()),
+    );
+    a.pending = b_pending;
     a
 }
 
 /// Completes pending intervals with each block's final size/kind and
-/// builds the dataset exactly like the sequential pass.
+/// builds the dataset exactly like the sequential pass: in the order of
+/// one stable `(end_time_ns, block)` sort over the runs' concatenation,
+/// produced as a k-way merge of the stable-sorted runs with ties going
+/// to the earlier run.
 fn ati_dataset(acc: AtiAcc) -> AtiDataset {
-    let mut records: Vec<AtiRecord> = acc
-        .pending
+    let AtiAcc {
+        blocks,
+        mut runs,
+        pending,
+    } = acc;
+    runs.push(pending);
+    runs.retain(|run| !run.is_empty());
+    let key = |p: &PendingAti| (p.end_time_ns, p.block);
+    for run in &mut runs {
+        // each run is already near-sorted: this is close to one pass
+        run.sort_by_key(key);
+    }
+    let mut records = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+    let mut cursor = vec![0usize; runs.len()];
+    let mut heads: BinaryHeap<Reverse<(u64, BlockId, usize)>> = runs
         .iter()
-        .map(|p| {
-            let st = &acc.blocks[&p.block];
-            let (size, mem_kind) = st
-                .malloc_meta
-                .unwrap_or((st.fallback_size, st.fallback_kind));
-            AtiRecord {
-                block: p.block,
-                size,
-                mem_kind,
-                interval_ns: p.interval_ns,
-                end_time_ns: p.end_time_ns,
-                closing_kind: p.closing_kind,
-            }
-        })
+        .enumerate()
+        .map(|(r, run)| Reverse((run[0].end_time_ns, run[0].block, r)))
         .collect();
-    records.sort_by_key(|r| (r.end_time_ns, r.block));
+    while let Some(mut head) = heads.peek_mut() {
+        let Reverse((_, _, r)) = *head;
+        let p = &runs[r][cursor[r]];
+        cursor[r] += 1;
+        let st = blocks
+            .get(p.block)
+            .expect("every interval's block has state");
+        let (size, mem_kind) = st
+            .malloc_meta
+            .unwrap_or((st.fallback_size, st.fallback_kind));
+        records.push(AtiRecord {
+            block: p.block,
+            size,
+            mem_kind,
+            interval_ns: p.interval_ns,
+            end_time_ns: p.end_time_ns,
+            closing_kind: p.closing_kind,
+        });
+        match runs[r].get(cursor[r]) {
+            Some(q) => *head = Reverse((q.end_time_ns, q.block, r)),
+            None => {
+                PeekMut::pop(head);
+            }
+        }
+    }
     AtiDataset::from_records(records)
 }
 
 impl EventFold for AtiFold {
     type Acc = AtiAcc;
     type Output = AtiDataset;
+
+    fn name(&self) -> &'static str {
+        "ati"
+    }
 
     /// Everything: accesses close intervals, mallocs set size/kind, and
     /// even a leading free initializes the block's fallback metadata
@@ -603,6 +813,12 @@ impl EventFold for AtiFold {
     }
     fn finish(&self, acc: AtiAcc) -> AtiDataset {
         ati_dataset(acc)
+    }
+    fn push_batch(&self, acc: &mut AtiAcc, batch: &ColumnBatch, _pred: &Predicate) {
+        ati_push_batch(acc, batch);
+    }
+    fn columnar(&self) -> bool {
+        true
     }
 }
 
@@ -707,6 +923,10 @@ impl EventFold for PeakFold {
     type Acc = PeakAcc;
     type Output = PeakUsage;
 
+    fn name(&self) -> &'static str {
+        "peak"
+    }
+
     /// Only allocation events move the live total — chunks of pure
     /// accesses are prunable for this fold.
     fn predicate(&self) -> Predicate {
@@ -745,6 +965,10 @@ pub struct BreakdownFold {
 impl EventFold for BreakdownFold {
     type Acc = PeakAcc;
     type Output = BreakdownRow;
+
+    fn name(&self) -> &'static str {
+        "breakdown"
+    }
 
     fn predicate(&self) -> Predicate {
         PeakFold.predicate()
@@ -791,7 +1015,7 @@ struct GanttBlockState {
 /// Accumulator of [`GanttFold`].
 #[derive(Debug, Default)]
 pub struct GanttAcc {
-    blocks: BTreeMap<BlockId, GanttBlockState>,
+    blocks: BlockTable<GanttBlockState>,
     /// Time of the last event seen (lifetime end of never-freed blocks).
     end_time_ns: Option<u64>,
 }
@@ -811,6 +1035,10 @@ impl EventFold for GanttFold {
     type Acc = GanttAcc;
     type Output = Vec<GanttRect>;
 
+    fn name(&self) -> &'static str {
+        "gantt"
+    }
+
     /// Everything: never-freed blocks extend to the trace's last event of
     /// *any* kind, and a block's fallback geometry comes from its first
     /// event of any kind — so even chunks outside the window matter.
@@ -822,7 +1050,7 @@ impl EventFold for GanttFold {
     }
     fn push(&self, acc: &mut GanttAcc, e: &MemEvent) {
         acc.end_time_ns = Some(e.time_ns);
-        let st = acc.blocks.entry(e.block).or_insert(GanttBlockState {
+        let st = acc.blocks.get_or_insert_with(e.block, || GanttBlockState {
             first: (e.time_ns, e.size, e.offset, e.mem_kind),
             malloc: None,
             free_time_ns: None,
@@ -834,13 +1062,12 @@ impl EventFold for GanttFold {
         }
     }
     fn merge(&self, mut a: GanttAcc, b: GanttAcc) -> GanttAcc {
-        for (block, sb) in b.blocks {
-            match a.blocks.entry(block) {
-                Entry::Vacant(v) => {
-                    v.insert(sb);
+        for (block, sb) in b.blocks.into_entries() {
+            match a.blocks.get_mut(block) {
+                None => {
+                    a.blocks.insert(block, sb);
                 }
-                Entry::Occupied(mut o) => {
-                    let sa = o.get_mut();
+                Some(sa) => {
                     sa.malloc = sb.malloc.or(sa.malloc);
                     sa.free_time_ns = sb.free_time_ns.or(sa.free_time_ns);
                 }
@@ -853,6 +1080,7 @@ impl EventFold for GanttFold {
         let end = acc.end_time_ns.unwrap_or(0);
         let mut rects: Vec<GanttRect> = acc
             .blocks
+            .entries()
             .iter()
             .map(|(block, st)| {
                 let (t0_ns, size, offset, mem_kind) = st.malloc.unwrap_or(st.first);
@@ -867,8 +1095,20 @@ impl EventFold for GanttFold {
             })
             .filter(|r| r.t1_ns >= self.t_start && r.t0_ns <= self.t_end)
             .collect();
-        rects.sort_by_key(|r| (r.t0_ns, r.offset));
+        // entries are in first-seen order; the block tiebreak reproduces
+        // the sequential pass's block-ordered stable sort
+        rects.sort_unstable_by_key(|r| (r.t0_ns, r.offset, r.block));
         rects
+    }
+    /// The predicate matches every event: nothing is filtered, and each
+    /// event is built on the stack, never collected.
+    fn push_batch(&self, acc: &mut GanttAcc, batch: &ColumnBatch, _pred: &Predicate) {
+        for i in 0..batch.len() {
+            self.push(acc, &batch.event(i));
+        }
+    }
+    fn columnar(&self) -> bool {
+        true
     }
 }
 
@@ -885,6 +1125,10 @@ impl EventFold for OutlierFold {
     type Acc = AtiAcc;
     type Output = OutlierReport;
 
+    fn name(&self) -> &'static str {
+        "outliers"
+    }
+
     fn predicate(&self) -> Predicate {
         AtiFold.predicate()
     }
@@ -899,6 +1143,12 @@ impl EventFold for OutlierFold {
     }
     fn finish(&self, acc: AtiAcc) -> OutlierReport {
         sift(&ati_dataset(acc), self.criteria)
+    }
+    fn push_batch(&self, acc: &mut AtiAcc, batch: &ColumnBatch, _pred: &Predicate) {
+        ati_push_batch(acc, batch);
+    }
+    fn columnar(&self) -> bool {
+        true
     }
 }
 
@@ -980,6 +1230,55 @@ mod tests {
         }
     }
 
+    /// A non-columnar fold: counts the events its predicate admits.
+    struct CountFold(Predicate);
+
+    impl EventFold for CountFold {
+        type Acc = usize;
+        type Output = usize;
+
+        fn predicate(&self) -> Predicate {
+            self.0
+        }
+        fn new_acc(&self) -> usize {
+            0
+        }
+        fn push(&self, acc: &mut usize, _: &MemEvent) {
+            *acc += 1;
+        }
+        fn merge(&self, a: usize, b: usize) -> usize {
+            a + b
+        }
+        fn finish(&self, acc: usize) -> usize {
+            acc
+        }
+    }
+
+    #[test]
+    fn non_columnar_folds_share_one_materialization_beside_columnar_ones() {
+        let t = mixed_trace();
+        let mut bytes = Vec::new();
+        pinpoint_store::write_store_chunked(&t, &mut bytes, 16).unwrap();
+        let reader = pinpoint_store::StoreReader::new(bytes).unwrap();
+        let frees = Predicate::any().with_kind(EventKind::Free);
+        let mut pipe = FusedPipeline::new();
+        let all = pipe.register(CountFold(Predicate::any()));
+        let ati = pipe.register(AtiFold);
+        let freed = pipe.register(CountFold(frees));
+        let want_frees = t.events().iter().filter(|e| frees.matches_event(e)).count();
+        for threads in [1, 4] {
+            let index = &reader.footer().chunks;
+            let stored = pipe
+                .run_chunks(index, threads, ReadPolicy::Strict, reader.fetch(threads))
+                .unwrap();
+            for mut out in [stored, pipe.run_trace(&t, threads)] {
+                assert_eq!(out.take(all), t.len(), "threads={threads}");
+                assert_eq!(out.take(freed), want_frees, "threads={threads}");
+                assert_eq!(out.take(ati), AtiDataset::from_trace(&t));
+            }
+        }
+    }
+
     #[test]
     fn a_cancelling_fetch_aborts_fused_runs_under_any_policy() {
         let t = mixed_trace();
@@ -1014,6 +1313,59 @@ mod tests {
             .run_chunks(index, 1, ReadPolicy::Salvage, reader.fetch(1))
             .unwrap();
         assert_eq!(out.take(peak), t.peak_live_bytes());
+    }
+
+    /// The slot-table bound every [`BlockTable`] keeps.
+    fn assert_slots_bounded<S>(t: &BlockTable<S>) {
+        let bound = 2 * DENSE_FLOOR.max(DENSITY * t.entries().len() as u64);
+        assert!(
+            t.slots.len() as u64 <= bound,
+            "{} slots for {} blocks",
+            t.slots.len(),
+            t.entries().len()
+        );
+    }
+
+    #[test]
+    fn block_table_slots_are_bounded_by_blocks_held_not_by_ids() {
+        let mut t = BlockTable::default();
+        let ids: Vec<u64> = (0..4)
+            .flat_map(|k| [u64::MAX - k, (1 << 40) + k, k, (1 << 63) + k])
+            .collect();
+        for (i, &id) in ids.iter().enumerate() {
+            t.get_or_insert_with(BlockId(id), || i);
+            assert_slots_bounded(&t);
+        }
+        // an id already held keeps its state
+        assert_eq!(*t.get_or_insert_with(BlockId(u64::MAX), || 99), 0);
+        assert_eq!(t.entries().len(), ids.len());
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(t.get(BlockId(id)), Some(&i), "id {id}");
+        }
+        assert_eq!(t.get(BlockId(4)), None);
+        assert_eq!(t.get(BlockId(u64::MAX - 4)), None);
+        let order: Vec<u64> = t.entries().iter().map(|(b, _)| b.0).collect();
+        assert_eq!(order, ids, "first-seen order");
+    }
+
+    #[test]
+    fn block_table_moves_overflow_ids_in_when_it_grows_over_them() {
+        let mut t = BlockTable::default();
+        let far = DENSE_FLOOR + 100;
+        t.insert(BlockId(far), far);
+        assert!(t.slots.is_empty(), "one block cannot size a table to {far}");
+        for id in 0..DENSE_FLOOR / 4 {
+            t.insert(BlockId(id), id);
+        }
+        assert_eq!(t.overflow.len(), 1);
+        // enough blocks are held now that a dense id past `far` grows the
+        // table over it
+        t.insert(BlockId(far + 1), far + 1);
+        assert!(t.overflow.is_empty(), "far moved into the slot table");
+        assert_slots_bounded(&t);
+        for id in (0..DENSE_FLOOR / 4).chain([far, far + 1]) {
+            assert_eq!(t.get(BlockId(id)), Some(&id), "id {id}");
+        }
     }
 
     #[test]

@@ -15,10 +15,10 @@ use crate::ati::AtiDataset;
 use crate::breakdown::BreakdownRow;
 use crate::engine::{
     AtiFold, BreakdownFold, FoldHandle, FusedOutputs, FusedPipeline, FusedStats, GanttFold,
-    OutlierFold, PeakFold,
+    PeakFold,
 };
 use crate::gantt::GanttRect;
-use crate::outlier::{OutlierCriteria, OutlierReport};
+use crate::outlier::{sift, OutlierCriteria, OutlierReport};
 use pinpoint_store::{ChunkMeta, ColumnBatch, QueryResult, ReadPolicy, StoreError, StoreReader};
 use pinpoint_trace::export::{kind_name, mem_kind_name, write_event_json};
 use pinpoint_trace::{json, PeakUsage, Trace};
@@ -27,7 +27,9 @@ use std::ops::Deref;
 
 /// Every analysis pass of the paper — ATI, peak, breakdown, Gantt,
 /// outliers — computed over **one** decode of the trace by the fused
-/// engine (the five standalone passes would each rescan it).
+/// engine (the five standalone passes would each rescan it). Four folds
+/// share the scan; the outliers are sifted from the ATI fold's dataset,
+/// exactly as the in-memory [`sift`] pass does.
 #[derive(Debug, Clone)]
 pub struct TraceReport {
     /// Access-time intervals (Figs. 3–4 input).
@@ -44,18 +46,17 @@ pub struct TraceReport {
     pub stats: FusedStats,
 }
 
-/// Handles of the five report folds, in registration order.
+/// Handles of the four report folds, in registration order.
 type ReportHandles = (
     FoldHandle<AtiDataset>,
     FoldHandle<PeakUsage>,
     FoldHandle<BreakdownRow>,
     FoldHandle<Vec<GanttRect>>,
-    FoldHandle<OutlierReport>,
 );
 
-/// Builds the five-fold pipeline shared by every `TraceReport` entry
+/// Builds the four-fold pipeline shared by every `TraceReport` entry
 /// point.
-fn report_pipeline(criteria: OutlierCriteria) -> (FusedPipeline, ReportHandles) {
+fn report_pipeline() -> (FusedPipeline, ReportHandles) {
     let mut pipe = FusedPipeline::new();
     let ati = pipe.register(AtiFold);
     let peak = pipe.register(PeakFold);
@@ -66,21 +67,22 @@ fn report_pipeline(criteria: OutlierCriteria) -> (FusedPipeline, ReportHandles) 
         t_start: 0,
         t_end: u64::MAX,
     });
-    let outliers = pipe.register(OutlierFold { criteria });
-    (pipe, (ati, peak, breakdown, gantt, outliers))
+    (pipe, (ati, peak, breakdown, gantt))
 }
 
 impl TraceReport {
     fn from_outputs(
         mut out: FusedOutputs,
-        (ati, peak, breakdown, gantt, outliers): ReportHandles,
+        (ati, peak, breakdown, gantt): ReportHandles,
+        criteria: OutlierCriteria,
     ) -> Self {
+        let ati = out.take(ati);
         TraceReport {
-            ati: out.take(ati),
+            outliers: sift(&ati, criteria),
+            ati,
             peak: out.take(peak),
             breakdown: out.take(breakdown),
             gantt: out.take(gantt),
-            outliers: out.take(outliers),
             stats: out.stats().clone(),
         }
     }
@@ -111,8 +113,8 @@ impl TraceReport {
     /// Runs all five passes over an in-memory trace in one fused scan —
     /// bit-identical to [`TraceReport::from_store`] on the same trace.
     pub fn from_trace(trace: &Trace, criteria: OutlierCriteria, threads: usize) -> Self {
-        let (pipe, handles) = report_pipeline(criteria);
-        Self::from_outputs(pipe.run_trace(trace, threads), handles)
+        let (pipe, handles) = report_pipeline();
+        Self::from_outputs(pipe.run_trace(trace, threads), handles, criteria)
     }
 
     /// Runs all five passes over an externally supplied chunk set via
@@ -137,9 +139,9 @@ impl TraceReport {
         D: Deref<Target = ColumnBatch>,
         F: Fn(usize, &ChunkMeta) -> Result<D, StoreError> + Sync,
     {
-        let (pipe, handles) = report_pipeline(criteria);
+        let (pipe, handles) = report_pipeline();
         let out = pipe.run_chunks(index, threads, policy, fetch)?;
-        Ok(Self::from_outputs(out, handles))
+        Ok(Self::from_outputs(out, handles, criteria))
     }
 }
 

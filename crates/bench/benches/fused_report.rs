@@ -3,7 +3,9 @@
 //! Profiles ResNet-18, encodes the trace into a `.ptrc` store, then runs
 //! the five report analyses (ATI, peak, breakdown, gantt, outliers) two
 //! ways: five standalone single-fold runs (each decoding every chunk) and
-//! one fused five-fold run (each chunk decoded exactly once). Reports
+//! the shipped `TraceReport::from_store` — the path the CLI and the
+//! daemon run: four fused folds (each chunk decoded exactly once) with
+//! the outliers sifted from the ATI dataset. Reports
 //! wall clock at 1 and 4 worker threads in `BENCH_report.json` and
 //! asserts that the fused run is bit-identical to the baseline, decodes
 //! each chunk once, and is no slower at either thread count.
@@ -27,7 +29,7 @@
 
 use pinpoint_analysis::{
     AtiDataset, AtiFold, BreakdownFold, BreakdownRow, FusedPipeline, GanttFold, GanttRect,
-    OutlierCriteria, OutlierFold, OutlierReport, PeakFold,
+    OutlierCriteria, OutlierFold, OutlierReport, PeakFold, TraceReport,
 };
 use pinpoint_bench::by_scale;
 use pinpoint_bench::criterion::Criterion;
@@ -118,33 +120,24 @@ fn sequential_five_pass(bytes: &[u8], t_end: u64, threads: usize) -> (Report, us
     )
 }
 
-/// One fused five-fold run: each chunk decoded exactly once, all five
-/// accumulators fed from the same decode. Also returns the
+/// One fused report, exactly as the CLI and the daemon run it
+/// ([`TraceReport::from_store`]): each chunk decoded exactly once, all
+/// fold accumulators fed from the same decode. Also returns the
 /// pruned-by-op-label count from the scan accounting (0 here — the
-/// five-fold union constrains no op label — surfaced so the bench JSON
+/// report's union constrains no op label — surfaced so the bench JSON
 /// records the counter end to end).
-fn fused_five_fold(bytes: &[u8], t_end: u64, threads: usize) -> (Report, usize, usize) {
-    let mut pipe = FusedPipeline::new();
-    let ati = pipe.register(AtiFold);
-    let peak = pipe.register(PeakFold);
-    let breakdown = pipe.register(BreakdownFold {
-        label: "trace".to_string(),
-    });
-    let gantt = pipe.register(GanttFold { t_start: 0, t_end });
-    let outliers = pipe.register(OutlierFold { criteria: CRITERIA });
+fn fused_five_fold(bytes: &[u8], threads: usize) -> (Report, usize, usize) {
     let r = StoreReader::new(bytes.to_vec()).expect("open");
-    let mut out = pipe
-        .run_chunks(&r.footer().chunks, threads, r.policy(), r.fetch(threads))
-        .expect("run");
-    let decoded = out.stats().chunks_decoded;
-    let pruned_by_label = out.stats().chunks_pruned_by_label;
+    let report = TraceReport::from_store(&r, CRITERIA, threads).expect("run");
+    let decoded = report.stats.chunks_decoded;
+    let pruned_by_label = report.stats.chunks_pruned_by_label;
     (
         Report {
-            ati: out.take(ati),
-            peak: out.take(peak),
-            breakdown: out.take(breakdown),
-            gantt: out.take(gantt),
-            outliers: out.take(outliers),
+            ati: report.ati,
+            peak: report.peak,
+            breakdown: report.breakdown,
+            gantt: report.gantt,
+            outliers: report.outliers,
         },
         decoded,
         pruned_by_label,
@@ -223,8 +216,8 @@ fn bench(c: &mut Criterion) {
     let mut per_thread = Vec::new();
     for threads in [1usize, 4] {
         let (seq, seq_decoded) = sequential_five_pass(&bytes, t_end, threads);
-        let (fused, fused_decoded, pruned_by_label) = fused_five_fold(&bytes, t_end, threads);
-        let (fused_v2, ..) = fused_five_fold(&v2_bytes, t_end, threads);
+        let (fused, fused_decoded, pruned_by_label) = fused_five_fold(&bytes, threads);
+        let (fused_v2, ..) = fused_five_fold(&v2_bytes, threads);
         assert!(
             seq == fused,
             "fused output diverges from sequential at threads={threads}"
@@ -248,11 +241,11 @@ fn bench(c: &mut Criterion) {
             assert_eq!(r.ati.len(), seq.ati.len());
         });
         let fused_ns = median_ns(runs, || {
-            let (r, ..) = fused_five_fold(&bytes, t_end, threads);
+            let (r, ..) = fused_five_fold(&bytes, threads);
             assert_eq!(r.ati.len(), fused.ati.len());
         });
         let fused_v2_ns = median_ns(runs, || {
-            let (r, ..) = fused_five_fold(&v2_bytes, t_end, threads);
+            let (r, ..) = fused_five_fold(&v2_bytes, threads);
             assert_eq!(r.ati.len(), fused.ati.len());
         });
         assert!(
@@ -324,10 +317,10 @@ fn bench(c: &mut Criterion) {
         b.iter(|| sequential_five_pass(&bytes, t_end, 1).0.ati.len())
     });
     g.bench_function("fused_five_fold_resnet18", |b| {
-        b.iter(|| fused_five_fold(&bytes, t_end, 1).0.ati.len())
+        b.iter(|| fused_five_fold(&bytes, 1).0.ati.len())
     });
     g.bench_function("fused_five_fold_resnet18_v2_store", |b| {
-        b.iter(|| fused_five_fold(&v2_bytes, t_end, 1).0.ati.len())
+        b.iter(|| fused_five_fold(&v2_bytes, 1).0.ati.len())
     });
     g.finish();
 }

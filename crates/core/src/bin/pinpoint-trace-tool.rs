@@ -141,9 +141,11 @@ fn obs_finish(flags: &ObsFlags) -> Result<(), String> {
     }
     let snap = pinpoint_obs::tracer().snapshot();
     if flags.timing {
-        eprintln!("{:<16} {:>8} {:>12}", "stage", "count", "total");
-        for (name, count, total_ns) in snap.totals_by_name() {
-            eprintln!("{name:<16} {count:>8} {:>12}", human_time(total_ns));
+        let totals = snap.totals_by_name();
+        let w = totals.iter().map(|(n, ..)| n.len()).fold(16, usize::max);
+        eprintln!("{:<w$} {:>8} {:>12}", "stage", "count", "total");
+        for (name, count, total_ns) in totals {
+            eprintln!("{name:<w$} {count:>8} {:>12}", human_time(total_ns));
         }
     }
     if let Some(path) = &flags.trace_out {

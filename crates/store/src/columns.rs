@@ -363,16 +363,16 @@ fn decode_u64_values(
     Ok(())
 }
 
-/// Integrates a zigzag-delta stream in place into absolute non-negative
-/// values, with checked arithmetic (`what` names the column in errors).
-fn integrate_deltas(vals: &mut [u64], what: &str) -> Result<(), StoreError> {
+/// Integrates a zigzag-delta timestamp stream in place into absolute
+/// non-negative values, with checked arithmetic.
+fn integrate_time_deltas(vals: &mut [u64]) -> Result<(), StoreError> {
     let mut prev: i64 = 0;
     for v in vals.iter_mut() {
         prev = prev
             .checked_add(unzigzag(*v))
-            .ok_or_else(|| corrupt(format!("{what} overflows after delta decode")))?;
+            .ok_or_else(|| corrupt("timestamp overflows after delta decode"))?;
         if prev < 0 {
-            return Err(corrupt(format!("negative {what} after delta decode")));
+            return Err(corrupt("negative timestamp after delta decode"));
         }
         *v = prev as u64;
     }
@@ -437,7 +437,7 @@ pub(crate) fn decode_body(
             *v = zigzag(d);
         }
     }
-    integrate_deltas(&mut batch.time, "timestamp")?;
+    integrate_time_deltas(&mut batch.time)?;
 
     // meta (column 1): one byte per event
     let (meta_start, meta_len) = cols[1];
@@ -462,9 +462,14 @@ pub(crate) fn decode_body(
         }
     }
 
-    // block (column 2): zigzag deltas
+    // block (column 2): zigzag deltas, integrated modulo 2^64 — the
+    // writers take wrapping differences, so every u64 id round-trips
     decode_u64_values(bytes, cols[2], tags[2], n, &mut batch.block)?;
-    integrate_deltas(&mut batch.block, "block id")?;
+    let mut prev = 0u64;
+    for v in batch.block.iter_mut() {
+        prev = prev.wrapping_add(unzigzag(*v) as u64);
+        *v = prev;
+    }
 
     // size / offset (columns 3, 4): raw values
     decode_u64_values(bytes, cols[3], tags[3], n, &mut batch.size)?;
@@ -646,7 +651,7 @@ pub fn encode_chunk_v3(events: &[MemEvent]) -> (Vec<u8>, ChunkMeta) {
     let mut offset_vals = Vec::with_capacity(n);
     let mut op_vals = Vec::new();
     let mut prev_time = 0i64;
-    let mut prev_block = 0i64;
+    let mut prev_block = 0u64;
     for e in events {
         let d = e.time_ns as i64 - prev_time;
         prev_time = e.time_ns as i64;
@@ -656,8 +661,8 @@ pub fn encode_chunk_v3(events: &[MemEvent]) -> (Vec<u8>, ChunkMeta) {
             | (mem_kind_code(e.mem_kind) << 2)
             | (u8::from(e.op_label.is_some()) << 5);
         meta_vals.push(u64::from(byte));
-        block_vals.push(zigzag(e.block.0 as i64 - prev_block));
-        prev_block = e.block.0 as i64;
+        block_vals.push(zigzag(e.block.0.wrapping_sub(prev_block) as i64));
+        prev_block = e.block.0;
         size_vals.push(e.size as u64);
         offset_vals.push(e.offset as u64);
         if let Some(op) = e.op_label {

@@ -33,7 +33,8 @@
 //!    (first value is the delta from 0, i.e. absolute);
 //! 2. **meta** — one byte per event: event kind (2 bits), memory kind
 //!    (3 bits), has-op flag (1 bit);
-//! 3. **block** — zigzag deltas between consecutive block ids;
+//! 3. **block** — zigzag deltas between consecutive block ids, taken
+//!    modulo 2^64 so every `u64` id round-trips;
 //! 4. **size** — plain values;
 //! 5. **offset** — plain values;
 //! 6. **op** — one value per event whose has-op flag is set.
@@ -266,7 +267,7 @@ pub fn encode_chunk(events: &[MemEvent]) -> (Vec<u8>, ChunkMeta) {
     let mut op_col = Vec::new();
 
     let mut prev_time = 0i64;
-    let mut prev_block = 0i64;
+    let mut prev_block = 0u64;
     for e in events {
         write_i64(&mut time_col, e.time_ns as i64 - prev_time);
         prev_time = e.time_ns as i64;
@@ -274,8 +275,8 @@ pub fn encode_chunk(events: &[MemEvent]) -> (Vec<u8>, ChunkMeta) {
             | (mem_kind_code(e.mem_kind) << 2)
             | (u8::from(e.op_label.is_some()) << 5);
         meta_col.push(byte);
-        write_i64(&mut block_col, e.block.0 as i64 - prev_block);
-        prev_block = e.block.0 as i64;
+        write_i64(&mut block_col, e.block.0.wrapping_sub(prev_block) as i64);
+        prev_block = e.block.0;
         write_u64(&mut size_col, e.size as u64);
         write_u64(&mut offset_col, e.offset as u64);
         if let Some(op) = e.op_label {
@@ -600,6 +601,33 @@ mod tests {
             decode_verified_events(&bytes, &meta, 0, true, VERSION_V2).unwrap(),
             evs
         );
+    }
+
+    #[test]
+    fn block_ids_round_trip_across_all_of_u64() {
+        let ids = [
+            u64::MAX,
+            0,
+            1 << 40,
+            u64::MAX - 3,
+            1 << 63,
+            5,
+            (1 << 63) - 1,
+        ];
+        let evs: Vec<MemEvent> = ids
+            .iter()
+            .zip(0u64..)
+            .map(|(&id, i)| MemEvent {
+                block: BlockId(id),
+                time_ns: 100 + i,
+                ..events()[0]
+            })
+            .collect();
+        let (v2, _) = encode_chunk(&evs);
+        assert_eq!(decode_chunk(&v2, VERSION_V2).unwrap(), evs);
+        let (v3, meta) = crate::columns::encode_chunk_v3(&evs);
+        assert_eq!(meta.max_block, u64::MAX);
+        assert_eq!(decode_chunk(&v3, VERSION).unwrap(), evs);
     }
 
     #[test]

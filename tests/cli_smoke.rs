@@ -6,10 +6,15 @@ use pinpoint::core::{profile, ProfileConfig};
 use pinpoint::trace::export::{read_json, write_json};
 use std::fs::File;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn trace_file() -> std::path::PathBuf {
+    // one file per call: the tests run in parallel, and a shared path let
+    // one test truncate the trace while another test's CLI was reading it
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
     let report = profile(&ProfileConfig::mlp_case_study(5)).unwrap();
-    let path = std::env::temp_dir().join("pinpoint_cli_smoke_trace.json");
+    let path = std::env::temp_dir().join(format!("pinpoint_cli_smoke_trace_{n}.json"));
     write_json(&report.trace, File::create(&path).unwrap()).unwrap();
     path
 }

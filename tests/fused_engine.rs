@@ -4,8 +4,8 @@
 //! stores and in-memory traces — and must decode each chunk exactly once.
 
 use pinpoint::analysis::{
-    gantt_rects, sift, AtiDataset, AtiFold, BreakdownFold, BreakdownRow, FusedPipeline, GanttFold,
-    OutlierCriteria, OutlierFold, PeakFold,
+    fold_store, gantt_rects, sift, AtiDataset, AtiFold, BreakdownFold, BreakdownRow, FusedPipeline,
+    GanttFold, OutlierCriteria, OutlierFold, PeakFold, TraceReport,
 };
 use pinpoint::store::{write_store_chunked, StoreReader};
 use pinpoint::tensor::rng::Rng64;
@@ -14,6 +14,29 @@ use pinpoint::trace::{BlockId, EventKind, Marker, MemEvent, MemoryKind, Trace};
 /// Generates a pseudo-random trace: arbitrary event mixes, shared and
 /// fresh blocks, op labels, markers (mirrors `store_roundtrip.rs`).
 fn arbitrary_trace(rng: &mut Rng64, events: usize) -> Trace {
+    // few distinct blocks, so intervals and re-mallocs actually happen
+    arbitrary_trace_with(rng, events, |rng| BlockId(rng.gen_below(12)))
+}
+
+/// [`arbitrary_trace`] with a mix of dense small block ids and far-apart
+/// ones (`1 << 40` plus k, `u64::MAX` minus k): ids no dense table may be
+/// sized by.
+fn sparse_id_trace(rng: &mut Rng64, events: usize) -> Trace {
+    arbitrary_trace_with(rng, events, |rng| {
+        let k = rng.gen_below(4);
+        match rng.gen_below(3) {
+            0 => BlockId(rng.gen_below(12)),
+            1 => BlockId((1 << 40) + k),
+            _ => BlockId(u64::MAX - k),
+        }
+    })
+}
+
+fn arbitrary_trace_with(
+    rng: &mut Rng64,
+    events: usize,
+    mut block_of: impl FnMut(&mut Rng64) -> BlockId,
+) -> Trace {
     let mut t = Trace::new();
     let n_labels = rng.gen_range_usize(0, 8);
     for i in 0..n_labels {
@@ -44,8 +67,7 @@ fn arbitrary_trace(rng: &mut Rng64, events: usize) -> Trace {
         } else {
             None
         };
-        // few distinct blocks, so intervals and re-mallocs actually happen
-        let block = BlockId(rng.gen_below(12));
+        let block = block_of(rng);
         let size_bits = rng.gen_range_usize(1, 33);
         let offset_bits = rng.gen_range_usize(1, 38);
         t.push(MemEvent {
@@ -211,5 +233,93 @@ fn alloc_only_pipeline_prunes_chunks_but_stays_exact() {
             "case {case}"
         );
         assert_eq!(r.chunks_decoded(), stats.chunks_decoded as u64);
+    }
+}
+
+/// Asserts the fused report, and a standalone [`OutlierFold`] in memory
+/// and over a store, equal the sequential oracles.
+fn assert_report_matches_oracle(t: &Trace, chunk: usize, criteria: OutlierCriteria, tag: &str) {
+    let want = oracle(t, criteria);
+    let r = store_of(t, chunk);
+    for threads in [1, 4] {
+        let in_memory = TraceReport::from_trace(t, criteria, threads);
+        let stored = TraceReport::from_store(&r, criteria, threads).unwrap();
+        for (got, path) in [(in_memory, "in-memory"), (stored, "store")] {
+            let tag = format!("{tag}, chunk {chunk}, threads {threads}, {path}");
+            assert_eq!(got.ati, want.ati, "{tag}");
+            assert_eq!(got.peak, want.peak, "{tag}");
+            assert_eq!(got.breakdown, want.breakdown, "{tag}");
+            assert_eq!(got.gantt, want.gantt, "{tag}");
+            assert_eq!(got.outliers, want.outliers, "{tag}");
+        }
+        let mut pipe = FusedPipeline::new();
+        let outliers = pipe.register(OutlierFold { criteria });
+        let got = pipe.run_trace(t, threads).take(outliers);
+        assert_eq!(got, want.outliers, "{tag}, threads {threads}, OutlierFold");
+        let got = fold_store(&r, OutlierFold { criteria }, threads).unwrap();
+        assert_eq!(
+            got, want.outliers,
+            "{tag}, threads {threads}, OutlierFold store"
+        );
+    }
+}
+
+#[test]
+fn report_matches_oracles_on_sparse_and_hostile_block_ids() {
+    let criteria = OutlierCriteria {
+        min_ati_ns: 1 << 20,
+        min_size_bytes: 1 << 24,
+    };
+    let mut rng = Rng64::seed_from_u64(0x5ba5_e1d5);
+    for case in 0..20 {
+        let events = rng.gen_range_usize(0, 500);
+        let chunk = rng.gen_range_usize(1, 64);
+        let t = sparse_id_trace(&mut rng, events);
+        assert_report_matches_oracle(&t, chunk, criteria, &format!("case {case}"));
+    }
+}
+
+#[test]
+fn a_block_at_u64_max_reports_without_an_id_sized_table() {
+    let b = BlockId(u64::MAX);
+    let mut t = Trace::new();
+    for (time, kind) in [
+        (10, EventKind::Malloc),
+        (20, EventKind::Write),
+        (5_000_000, EventKind::Read),
+        (5_000_100, EventKind::Read),
+        (9_000_000, EventKind::Free),
+    ] {
+        t.record(time, kind, b, 1 << 30, 0, MemoryKind::Activation, None);
+    }
+    let criteria = OutlierCriteria {
+        min_ati_ns: 1_000_000,
+        min_size_bytes: 1 << 20,
+    };
+    for chunk in [1, 2, 4096] {
+        assert_report_matches_oracle(&t, chunk, criteria, "u64::MAX block");
+    }
+    let report = TraceReport::from_trace(&t, criteria, 1);
+    assert_eq!(report.ati.len(), 2);
+    assert_eq!(report.outliers.outliers.len(), 1);
+    assert_eq!(report.gantt[0].block, b);
+}
+
+#[test]
+fn gantt_rects_tied_on_start_and_offset_keep_block_order() {
+    // first seen in no id order, every rect at the same start and
+    // offset: only a block tiebreak reproduces the oracle's order
+    let mut t = Trace::new();
+    for b in [9, 4, u64::MAX, 0, 1 << 40, 5] {
+        for kind in [EventKind::Malloc, EventKind::Write, EventKind::Free] {
+            t.record(10, kind, BlockId(b), 64, 0, MemoryKind::Workspace, None);
+        }
+    }
+    let criteria = OutlierCriteria {
+        min_ati_ns: 0,
+        min_size_bytes: 0,
+    };
+    for chunk in [1, 4, 4096] {
+        assert_report_matches_oracle(&t, chunk, criteria, "tied rects");
     }
 }

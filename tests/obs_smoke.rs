@@ -275,6 +275,15 @@ fn trace_out_round_trips_span_hierarchy_at_any_thread_count() {
             stderr.contains("engine.run"),
             "stage rows missing: {stderr}"
         );
+        for fold in ["ati", "peak", "breakdown", "gantt"] {
+            for stage in ["engine.fold", "engine.finish"] {
+                let row = format!("{stage}.{fold} ");
+                assert!(
+                    stderr.contains(&row),
+                    "per-fold row {row} missing: {stderr}"
+                );
+            }
+        }
         assert!(stderr.contains("wrote"), "trace-out note missing: {stderr}");
 
         let json = std::fs::read_to_string(&trace_out).unwrap();
@@ -289,6 +298,12 @@ fn trace_out_round_trips_span_hierarchy_at_any_thread_count() {
                 .iter()
                 .any(|p| p.ends_with("store.chunk;store.decode")),
             "decode spans must nest under their chunk: {paths:?}"
+        );
+        assert!(
+            paths
+                .iter()
+                .any(|p| p.ends_with("store.chunk;engine.fold;engine.fold.ati")),
+            "per-fold spans must nest under their chunk's fold: {paths:?}"
         );
         per_threads.push(anchored(&paths, "store.chunk"));
     }
