@@ -308,6 +308,7 @@ fn run_on_device(config: &ProfileConfig, device: SimDevice) -> Result<RunOutcome
         height: config.dataset.height,
         width: config.dataset.width,
     };
+    let compile_span = pinpoint_obs::tracer().span("nn.compile");
     let program = if let Some(ddp) = config.data_parallel {
         pinpoint_models::build_data_parallel_training_program(
             &config.arch,
@@ -343,6 +344,7 @@ fn run_on_device(config: &ProfileConfig, device: SimDevice) -> Result<RunOutcome
             config.optimizer,
         )
     };
+    drop(compile_span);
     let program_summary = program.summary();
     let mut exec = Executor::with_seed(program, device, config.mode, config.seed)?;
     exec.set_threads(config.resolved_threads());

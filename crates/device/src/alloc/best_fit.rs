@@ -1,8 +1,8 @@
 //! A classic best-fit arena allocator (baseline, no caching pools).
 
-use super::{round_up, AllocError, AllocStats, Block, DeviceAllocator, MIN_BLOCK_BYTES};
+use super::{round_up, AllocError, AllocStats, Block, DeviceAllocator, IdMap, MIN_BLOCK_BYTES};
 use pinpoint_trace::BlockId;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 #[derive(Debug, Clone, Copy)]
 struct Chunk {
@@ -32,8 +32,8 @@ pub struct BestFitAllocator {
     next_id: u64,
     chunks: BTreeMap<usize, Chunk>,
     free_set: BTreeSet<(usize, usize)>,
-    live: HashMap<BlockId, usize>,
-    requested: HashMap<BlockId, usize>,
+    live: IdMap<usize>,
+    requested: IdMap<usize>,
     stats: AllocStats,
 }
 
@@ -60,8 +60,8 @@ impl BestFitAllocator {
             next_id: 0,
             chunks,
             free_set,
-            live: HashMap::new(),
-            requested: HashMap::new(),
+            live: IdMap::default(),
+            requested: IdMap::default(),
             stats,
         }
     }

@@ -1,8 +1,7 @@
 //! A bump-pointer allocator (baseline: no in-flight reuse).
 
-use super::{round_up, AllocError, AllocStats, Block, DeviceAllocator};
+use super::{round_up, AllocError, AllocStats, Block, DeviceAllocator, IdMap};
 use pinpoint_trace::BlockId;
-use std::collections::HashMap;
 
 /// Bump allocation: every `malloc` advances a pointer; `free` releases no
 /// memory until *all* live blocks are gone, at which point the pointer
@@ -29,7 +28,7 @@ pub struct BumpAllocator {
     capacity: usize,
     next_offset: usize,
     next_id: u64,
-    live: HashMap<BlockId, Block>,
+    live: IdMap<Block>,
     stats: AllocStats,
 }
 
@@ -40,7 +39,7 @@ impl BumpAllocator {
             capacity,
             next_offset: 0,
             next_id: 0,
-            live: HashMap::new(),
+            live: IdMap::default(),
             stats: AllocStats::default(),
         }
     }

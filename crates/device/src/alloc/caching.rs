@@ -15,9 +15,9 @@
 //! cache hits at the *same offsets*, yielding the periodic Gantt chart of
 //! Fig. 2 and the low fragmentation the paper notes.
 
-use super::{round_up, AllocError, AllocStats, Block, DeviceAllocator, MIN_BLOCK_BYTES};
+use super::{round_up, AllocError, AllocStats, Block, DeviceAllocator, IdMap, MIN_BLOCK_BYTES};
 use pinpoint_trace::BlockId;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Requests at or below this size go to the small pool (PyTorch `kSmallSize`).
 const SMALL_REQUEST_LIMIT: usize = 1 << 20;
@@ -27,6 +27,8 @@ const SMALL_SEGMENT_BYTES: usize = 2 << 20;
 const LARGE_SEGMENT_MIN_BYTES: usize = 20 << 20;
 /// Large-pool chunks only split when the remainder is at least this big.
 const LARGE_SPLIT_REMAINDER: usize = 1 << 20;
+/// "No neighbour" in a chunk's segment links.
+const NIL: u32 = u32::MAX;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Pool {
@@ -34,13 +36,23 @@ enum Pool {
     Large,
 }
 
+/// A chunk of a segment, free or allocated: PyTorch's `Block`. The chunks
+/// of one segment form a doubly linked list in address order, so the
+/// neighbours a free coalesces with are one link away.
 #[derive(Debug, Clone, Copy)]
 struct Chunk {
+    offset: usize,
     size: usize,
-    segment: u32,
     pool: Pool,
     free: bool,
+    /// Slab slots of the address-order neighbours in the same segment.
+    prev: u32,
+    next: u32,
 }
+
+/// Free-set key: best fit is the smallest size, then the lowest offset.
+/// Offsets are unique, so the slot only rides along.
+type FreeKey = (usize, usize, u32);
 
 /// Cache statistics of one size-class pool.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -75,17 +87,18 @@ pub struct CachingAllocator {
     capacity: usize,
     next_offset: usize,
     next_id: u64,
-    next_segment: u32,
-    /// Every chunk (free or allocated), keyed by offset. Chunks partition
-    /// the reserved segments exactly.
-    chunks: BTreeMap<usize, Chunk>,
-    free_small: BTreeSet<(usize, usize)>,
-    free_large: BTreeSet<(usize, usize)>,
-    live: HashMap<BlockId, usize>,
-    requested: HashMap<BlockId, usize>,
-    /// Segment extents: id → (offset, size); needed by `empty_cache` to
-    /// recognize whole-segment free chunks.
-    segments: HashMap<u32, (usize, usize)>,
+    /// Chunk slab: every chunk (free or allocated) of every reserved
+    /// segment, plus recycled slots listed in `spare_slots`.
+    chunks: Vec<Chunk>,
+    spare_slots: Vec<u32>,
+    free_small: BTreeSet<FreeKey>,
+    free_large: BTreeSet<FreeKey>,
+    /// Live block → (chunk slot, requested size).
+    live: IdMap<(u32, usize)>,
+    /// Reserved segments: offset → (size, slot of the first chunk). A
+    /// segment's first chunk keeps its slot for the segment's lifetime:
+    /// splits and merges only ever add or remove the chunks after it.
+    segments: BTreeMap<usize, (usize, u32)>,
     /// Address ranges of released segments (offset → size), coalesced and
     /// reusable by later reservations; ranges touching the bump pointer
     /// rewind it instead.
@@ -100,37 +113,64 @@ impl CachingAllocator {
             capacity,
             next_offset: 0,
             next_id: 0,
-            next_segment: 0,
-            chunks: BTreeMap::new(),
+            chunks: Vec::new(),
+            spare_slots: Vec::new(),
             free_small: BTreeSet::new(),
             free_large: BTreeSet::new(),
-            live: HashMap::new(),
-            requested: HashMap::new(),
-            segments: HashMap::new(),
+            live: IdMap::default(),
+            segments: BTreeMap::new(),
             free_va: BTreeMap::new(),
             stats: AllocStats::default(),
         }
     }
 
-    fn free_set(&mut self, pool: Pool) -> &mut BTreeSet<(usize, usize)> {
+    fn free_set(&mut self, pool: Pool) -> &mut BTreeSet<FreeKey> {
         match pool {
             Pool::Small => &mut self.free_small,
             Pool::Large => &mut self.free_large,
         }
     }
 
-    /// Best-fit lookup: smallest free chunk of the pool with size ≥ rounded.
-    fn find_free(&self, pool: Pool, rounded: usize) -> Option<(usize, usize)> {
-        let set = match pool {
-            Pool::Small => &self.free_small,
-            Pool::Large => &self.free_large,
-        };
-        set.range((rounded, 0)..).next().copied()
+    fn key(&self, slot: u32) -> FreeKey {
+        let c = &self.chunks[slot as usize];
+        (c.size, c.offset, slot)
+    }
+
+    fn new_slot(&mut self, chunk: Chunk) -> u32 {
+        match self.spare_slots.pop() {
+            Some(slot) => {
+                self.chunks[slot as usize] = chunk;
+                slot
+            }
+            None => {
+                self.chunks.push(chunk);
+                (self.chunks.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Merges the chunk after `slot` into it, taking a free neighbour out
+    /// of its free set and recycling its slot. `slot` itself must not be
+    /// listed in a free set while it grows.
+    fn absorb_next(&mut self, slot: u32) {
+        let next = self.chunks[slot as usize].next;
+        let n = self.chunks[next as usize];
+        if n.free {
+            let key = self.key(next);
+            self.free_set(n.pool).remove(&key);
+        }
+        let chunk = &mut self.chunks[slot as usize];
+        chunk.size += n.size;
+        chunk.next = n.next;
+        if n.next != NIL {
+            self.chunks[n.next as usize].prev = slot;
+        }
+        self.spare_slots.push(next);
     }
 
     /// Reserves a fresh segment from the device for `pool`, inserting it as
-    /// one big free chunk.
-    fn reserve_segment(&mut self, pool: Pool, rounded: usize) -> Result<(), AllocError> {
+    /// one big free chunk; returns that chunk's free-set key.
+    fn reserve_segment(&mut self, pool: Pool, rounded: usize) -> Result<FreeKey, AllocError> {
         let preferred = match pool {
             Pool::Small => SMALL_SEGMENT_BYTES,
             Pool::Large => LARGE_SEGMENT_MIN_BYTES.max(rounded),
@@ -173,21 +213,19 @@ impl CachingAllocator {
             self.next_offset += seg_size;
             off
         };
-        let segment = self.next_segment;
-        self.next_segment += 1;
-        self.segments.insert(segment, (offset, seg_size));
-        self.chunks.insert(
+        let slot = self.new_slot(Chunk {
             offset,
-            Chunk {
-                size: seg_size,
-                segment,
-                pool,
-                free: true,
-            },
-        );
-        self.free_set(pool).insert((seg_size, offset));
+            size: seg_size,
+            pool,
+            free: true,
+            prev: NIL,
+            next: NIL,
+        });
+        self.segments.insert(offset, (seg_size, slot));
+        let key = (seg_size, offset, slot);
+        self.free_set(pool).insert(key);
         self.stats.on_reserve(seg_size);
-        Ok(())
+        Ok(key)
     }
 
     /// Releases every cached (fully free) segment back to the device,
@@ -195,20 +233,26 @@ impl CachingAllocator {
     /// `torch.cuda.empty_cache()`. Also invoked automatically when a
     /// reservation fails, before reporting OOM (PyTorch's retry).
     pub fn empty_cache(&mut self) -> usize {
-        let whole_segments: Vec<(usize, Chunk)> = self
-            .chunks
+        // ascending offset order: `release_va` rewinds the bump pointer
+        // only for the range that ends at it
+        let whole_segments: Vec<(usize, usize, u32)> = self
+            .segments
             .iter()
-            .filter(|(&off, c)| c.free && self.segments.get(&c.segment) == Some(&(off, c.size)))
-            .map(|(&off, c)| (off, *c))
+            .filter(|(_, &(_, head))| {
+                let c = &self.chunks[head as usize];
+                c.free && c.next == NIL
+            })
+            .map(|(&off, &(size, head))| (off, size, head))
             .collect();
         let mut released = 0usize;
-        for (off, c) in whole_segments {
-            self.chunks.remove(&off);
-            self.free_set(c.pool).remove(&(c.size, off));
-            self.segments.remove(&c.segment);
-            self.release_va(off, c.size);
-            self.stats.reserved_bytes -= c.size;
-            released += c.size;
+        for (off, size, head) in whole_segments {
+            let pool = self.chunks[head as usize].pool;
+            self.free_set(pool).remove(&(size, off, head));
+            self.spare_slots.push(head);
+            self.segments.remove(&off);
+            self.release_va(off, size);
+            self.stats.reserved_bytes -= size;
+            released += size;
         }
         released
     }
@@ -237,21 +281,31 @@ impl CachingAllocator {
         }
     }
 
+    /// The chunks of one segment in address order, by slot.
+    fn segment_chunks(&self, head: u32) -> impl Iterator<Item = (u32, &Chunk)> + '_ {
+        std::iter::successors(Some(head), move |&s| {
+            Some(self.chunks[s as usize].next).filter(|&n| n != NIL)
+        })
+        .map(move |s| (s, &self.chunks[s as usize]))
+    }
+
     /// Per-pool cache statistics: `(reserved, cached_free, largest_free)`
     /// bytes for the small and large pools respectively.
     pub fn pool_stats(&self) -> (PoolStats, PoolStats) {
         let mut small = PoolStats::default();
         let mut large = PoolStats::default();
-        for c in self.chunks.values() {
-            let s = match c.pool {
-                Pool::Small => &mut small,
-                Pool::Large => &mut large,
-            };
-            s.reserved_bytes += c.size;
-            if c.free {
-                s.cached_free_bytes += c.size;
-                s.free_chunks += 1;
-                s.largest_free_bytes = s.largest_free_bytes.max(c.size);
+        for &(_, head) in self.segments.values() {
+            for (_, c) in self.segment_chunks(head) {
+                let s = match c.pool {
+                    Pool::Small => &mut small,
+                    Pool::Large => &mut large,
+                };
+                s.reserved_bytes += c.size;
+                if c.free {
+                    s.cached_free_bytes += c.size;
+                    s.free_chunks += 1;
+                    s.largest_free_bytes = s.largest_free_bytes.max(c.size);
+                }
             }
         }
         (small, large)
@@ -271,17 +325,74 @@ impl CachingAllocator {
     /// Returns a description of the first violated invariant.
     #[doc(hidden)]
     pub fn debug_check_invariants(&self) -> Result<(), String> {
-        // chunks partition [segment starts, reserved) with no overlap
+        // segments tile disjoint ranges, and each segment's chunk list
+        // partitions its range exactly, links agreeing both ways
         let mut covered = 0usize;
+        let mut seg_total = 0usize;
+        let mut free_count = 0usize;
         let mut prev_end: Option<usize> = None;
-        for (&off, c) in &self.chunks {
+        for (&seg_off, &(seg_size, head)) in &self.segments {
             if let Some(end) = prev_end {
-                if off < end {
-                    return Err(format!("chunk at {off} overlaps previous ending at {end}"));
+                if seg_off < end {
+                    return Err(format!(
+                        "segment at {seg_off} overlaps previous ending at {end}"
+                    ));
                 }
             }
-            prev_end = Some(off + c.size);
-            covered += c.size;
+            prev_end = Some(seg_off + seg_size);
+            seg_total += seg_size;
+            if self.chunks[head as usize].prev != NIL {
+                return Err(format!("segment at {seg_off} has a chunk before its head"));
+            }
+            let mut expect_off = seg_off;
+            let mut prev: Option<(u32, &Chunk)> = None;
+            for (slot, c) in self.segment_chunks(head) {
+                if c.offset != expect_off {
+                    return Err(format!(
+                        "chunk at {} does not start where its predecessor ends ({expect_off})",
+                        c.offset
+                    ));
+                }
+                if c.prev != prev.map_or(NIL, |(p, _)| p) {
+                    return Err(format!("chunk at {} has a stale back link", c.offset));
+                }
+                if let Some((_, p)) = prev {
+                    if p.free && c.free {
+                        return Err(format!(
+                            "uncoalesced free chunks at {} and {}",
+                            p.offset, c.offset
+                        ));
+                    }
+                    if p.pool != c.pool {
+                        return Err(format!("chunk at {} changes pool mid-segment", c.offset));
+                    }
+                }
+                // free sets mirror free chunks exactly
+                let set = match c.pool {
+                    Pool::Small => &self.free_small,
+                    Pool::Large => &self.free_large,
+                };
+                let listed = set.contains(&(c.size, c.offset, slot));
+                if c.free && !listed {
+                    return Err(format!("free chunk at {} missing from free set", c.offset));
+                }
+                if !c.free && listed {
+                    return Err(format!(
+                        "allocated chunk at {} present in free set",
+                        c.offset
+                    ));
+                }
+                free_count += usize::from(c.free);
+                expect_off += c.size;
+                covered += c.size;
+                prev = Some((slot, c));
+            }
+            if expect_off != seg_off + seg_size {
+                return Err(format!(
+                    "segment at {seg_off} is {seg_size} B but its chunks cover {} B",
+                    expect_off - seg_off
+                ));
+            }
         }
         if covered != self.stats.reserved_bytes {
             return Err(format!(
@@ -289,48 +400,22 @@ impl CachingAllocator {
                 self.stats.reserved_bytes
             ));
         }
-        let seg_total: usize = self.segments.values().map(|&(_, s)| s).sum();
         if seg_total != self.stats.reserved_bytes {
             return Err(format!(
                 "segment map covers {seg_total} B but reserved is {} B",
                 self.stats.reserved_bytes
             ));
         }
-        // free sets mirror free chunks exactly
-        let mut free_count = 0usize;
-        for (&off, c) in &self.chunks {
-            let set = match c.pool {
-                Pool::Small => &self.free_small,
-                Pool::Large => &self.free_large,
-            };
-            if c.free {
-                free_count += 1;
-                if !set.contains(&(c.size, off)) {
-                    return Err(format!("free chunk at {off} missing from free set"));
-                }
-            } else if set.contains(&(c.size, off)) {
-                return Err(format!("allocated chunk at {off} present in free set"));
-            }
-        }
         if free_count != self.free_small.len() + self.free_large.len() {
             return Err("free sets hold stale entries".to_string());
         }
-        // no two adjacent free chunks in the same segment (coalescing holds)
-        let entries: Vec<(usize, Chunk)> = self.chunks.iter().map(|(o, c)| (*o, *c)).collect();
-        for w in entries.windows(2) {
-            let (ao, a) = w[0];
-            let (bo, b) = w[1];
-            if a.free && b.free && a.segment == b.segment && ao + a.size == bo {
-                return Err(format!("uncoalesced free chunks at {ao} and {bo}"));
-            }
-        }
         // live blocks point at allocated chunks
-        for (id, &off) in &self.live {
-            match self.chunks.get(&off) {
-                Some(c) if !c.free => {}
+        for (id, &(slot, _)) in &self.live {
+            match self.chunks.get(slot as usize) {
+                Some(c) if !c.free && !self.spare_slots.contains(&slot) => {}
                 _ => {
                     return Err(format!(
-                        "live block {id} points at non-allocated chunk {off}"
+                        "live block {id} points at non-allocated slot {slot}"
                     ))
                 }
             }
@@ -358,46 +443,50 @@ impl DeviceAllocator for CachingAllocator {
         } else {
             Pool::Large
         };
-        let mut cache_hit = true;
-        if self.find_free(pool, rounded).is_none() {
-            if let Err(e) = self.reserve_segment(pool, rounded) {
-                // PyTorch's OOM path: release all cached segments and retry
-                if self.empty_cache() == 0 {
-                    return Err(e);
+        // best fit: the smallest free chunk of the pool with size ≥ rounded
+        let best = self.free_set(pool).range((rounded, 0, 0)..).next().copied();
+        let cache_hit = best.is_some();
+        let (chunk_size, offset, slot) = match best {
+            Some(key) => key,
+            // nothing fits, so the fresh segment is the only candidate
+            None => match self.reserve_segment(pool, rounded) {
+                Ok(key) => key,
+                Err(e) => {
+                    // PyTorch's OOM path: release all cached segments and retry
+                    if self.empty_cache() == 0 {
+                        return Err(e);
+                    }
+                    self.reserve_segment(pool, rounded)?
                 }
-                self.reserve_segment(pool, rounded)?;
-            }
-            cache_hit = false;
-        }
-        let (chunk_size, offset) = self
-            .find_free(pool, rounded)
-            .expect("a free chunk must exist after reservation");
-        self.free_set(pool).remove(&(chunk_size, offset));
-        let chunk = self.chunks.get_mut(&offset).expect("chunk exists");
-        chunk.free = false;
-        let segment = chunk.segment;
+            },
+        };
+        self.free_set(pool).remove(&(chunk_size, offset, slot));
+        self.chunks[slot as usize].free = false;
         let alloc_size = if chunk_size - rounded >= Self::split_threshold(pool) {
+            let next = self.chunks[slot as usize].next;
+            let rem = self.new_slot(Chunk {
+                offset: offset + rounded,
+                size: chunk_size - rounded,
+                pool,
+                free: true,
+                prev: slot,
+                next,
+            });
+            if next != NIL {
+                self.chunks[next as usize].prev = rem;
+            }
+            let chunk = &mut self.chunks[slot as usize];
             chunk.size = rounded;
-            let rem_off = offset + rounded;
-            let rem_size = chunk_size - rounded;
-            self.chunks.insert(
-                rem_off,
-                Chunk {
-                    size: rem_size,
-                    segment,
-                    pool,
-                    free: true,
-                },
-            );
-            self.free_set(pool).insert((rem_size, rem_off));
+            chunk.next = rem;
+            let rem_key = self.key(rem);
+            self.free_set(pool).insert(rem_key);
             rounded
         } else {
             chunk_size
         };
         let id = BlockId(self.next_id);
         self.next_id += 1;
-        self.live.insert(id, offset);
-        self.requested.insert(id, size);
+        self.live.insert(id, (slot, size));
         self.stats.on_malloc(alloc_size, cache_hit);
         Ok(Block {
             id,
@@ -408,43 +497,28 @@ impl DeviceAllocator for CachingAllocator {
     }
 
     fn free(&mut self, id: BlockId) -> Result<Block, AllocError> {
-        let offset = self.live.remove(&id).ok_or(AllocError::UnknownBlock(id))?;
-        let requested = self.requested.remove(&id).unwrap_or(0);
-        let chunk = *self.chunks.get(&offset).expect("live chunk exists");
+        let (slot, requested) = self.live.remove(&id).ok_or(AllocError::UnknownBlock(id))?;
+        let chunk = self.chunks[slot as usize];
         self.stats.on_free(chunk.size);
-        // coalesce with the previous chunk if free and contiguous in the
-        // same segment
-        let mut new_off = offset;
-        let mut new_size = chunk.size;
-        if let Some((&prev_off, &prev)) = self.chunks.range(..offset).next_back() {
-            if prev.free && prev.segment == chunk.segment && prev_off + prev.size == offset {
-                self.free_set(prev.pool).remove(&(prev.size, prev_off));
-                self.chunks.remove(&offset);
-                new_off = prev_off;
-                new_size += prev.size;
-            }
+        // coalesce with the previous chunk of the segment if it is free
+        let mut head = slot;
+        if chunk.prev != NIL && self.chunks[chunk.prev as usize].free {
+            head = chunk.prev;
+            let key = self.key(head);
+            self.free_set(chunk.pool).remove(&key);
+            self.absorb_next(head);
         }
-        // coalesce with the next chunk
-        let next_entry = self
-            .chunks
-            .range(new_off + 1..)
-            .next()
-            .map(|(o, c)| (*o, *c));
-        if let Some((next_off, next)) = next_entry {
-            if next.free && next.segment == chunk.segment && new_off + new_size == next_off {
-                self.free_set(next.pool).remove(&(next.size, next_off));
-                self.chunks.remove(&next_off);
-                new_size += next.size;
-            }
+        // and with the next one
+        let next = self.chunks[head as usize].next;
+        if next != NIL && self.chunks[next as usize].free {
+            self.absorb_next(head);
         }
-        let merged = self.chunks.get_mut(&new_off).expect("merged chunk exists");
-        merged.free = true;
-        merged.size = new_size;
-        let pool = merged.pool;
-        self.free_set(pool).insert((new_size, new_off));
+        self.chunks[head as usize].free = true;
+        let key = self.key(head);
+        self.free_set(chunk.pool).insert(key);
         Ok(Block {
             id,
-            offset,
+            offset: chunk.offset,
             size: chunk.size,
             requested,
         })
@@ -458,11 +532,14 @@ impl DeviceAllocator for CachingAllocator {
         let mut out: Vec<Block> = self
             .live
             .iter()
-            .map(|(&id, &offset)| Block {
-                id,
-                offset,
-                size: self.chunks[&offset].size,
-                requested: self.requested.get(&id).copied().unwrap_or(0),
+            .map(|(&id, &(slot, requested))| {
+                let c = &self.chunks[slot as usize];
+                Block {
+                    id,
+                    offset: c.offset,
+                    size: c.size,
+                    requested,
+                }
             })
             .collect();
         out.sort_by_key(|b| b.offset);

@@ -16,7 +16,9 @@ pub use bump::BumpAllocator;
 pub use caching::CachingAllocator;
 
 use pinpoint_trace::BlockId;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Allocation granularity: all sizes round up to a multiple of this
 /// (PyTorch's `kMinBlockSize`).
@@ -29,6 +31,32 @@ pub fn round_up(size: usize) -> usize {
     }
     size.div_ceil(MIN_BLOCK_BYTES) * MIN_BLOCK_BYTES
 }
+
+/// Hasher for [`BlockId`] keys. Allocators mint ids sequentially, so one
+/// multiply by an odd constant (Fibonacci hashing) spreads them over the
+/// high bits the table probes with as well as the low bits that pick the
+/// bucket, at a fraction of SipHash's cost.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// A map keyed by [`BlockId`] with the cheap [`IdHasher`].
+pub(crate) type IdMap<V> = HashMap<BlockId, V, BuildHasherDefault<IdHasher>>;
 
 /// A live allocation handed out by a [`DeviceAllocator`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

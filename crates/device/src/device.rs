@@ -6,13 +6,12 @@
 
 use crate::alloc::{
     AllocError, AllocStats, BestFitAllocator, Block, BumpAllocator, CachingAllocator,
-    DeviceAllocator,
+    DeviceAllocator, IdMap,
 };
 use crate::clock::SimClock;
 use crate::cost::CostModel;
 use crate::transfer::TransferModel;
 use pinpoint_trace::{BlockId, EventKind, MemEvent, MemoryKind, Trace, TraceSink};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Which allocator policy a device uses.
@@ -109,7 +108,7 @@ pub struct SimDevice {
     clock: SimClock,
     alloc: Box<dyn DeviceAllocator>,
     sink: DeviceSink,
-    live: HashMap<BlockId, (usize, usize, MemoryKind)>, // size, offset, kind
+    live: IdMap<(usize, usize, MemoryKind)>, // size, offset, kind
     kernel_seq: u64,
 }
 
@@ -162,7 +161,7 @@ impl SimDevice {
             clock: SimClock::new(),
             alloc,
             sink,
-            live: HashMap::new(),
+            live: IdMap::default(),
             kernel_seq: 0,
         }
     }

@@ -16,6 +16,10 @@ pub struct Liveness {
     pub last_use: Vec<Option<usize>>,
     /// Whether the storage survives across iterations.
     pub persistent: Vec<bool>,
+    /// Per-op free lists, flattened: the storages freed after op `j` are
+    /// `free_list[free_starts[j]..free_starts[j + 1]]`, ascending.
+    free_starts: Vec<usize>,
+    free_list: Vec<StorageId>,
 }
 
 impl Liveness {
@@ -48,24 +52,35 @@ impl Liveness {
         }
         // the loss is read by the host after the final op: extend its life
         let loss_storage = graph.tensor(loss).storage;
-        if !graph.ops().is_empty() {
-            last_use[loss_storage.0] = Some(graph.ops().len() - 1);
+        let num_ops = graph.ops().len();
+        if num_ops > 0 {
+            last_use[loss_storage.0] = Some(num_ops - 1);
         }
+        // group the freeable storages by last use; the sort is stable, so
+        // each op's list stays in ascending storage order
+        let mut frees: Vec<(usize, StorageId)> = (0..n)
+            .filter(|&s| !persistent[s] && s != loss_storage.0)
+            .filter_map(|s| last_use[s].map(|j| (j, StorageId(s))))
+            .collect();
+        frees.sort_by_key(|&(j, _)| j);
+        let free_starts = (0..=num_ops)
+            .map(|j| frees.partition_point(|&(k, _)| k < j))
+            .collect();
+        let free_list = frees.into_iter().map(|(_, s)| s).collect();
         Liveness {
             first_def,
             last_use,
             persistent,
+            free_starts,
+            free_list,
         }
     }
 
-    /// Storages to free immediately after op `j` (non-persistent storages
-    /// whose last use is `j`), excluding `keep` (the loss storage, freed
-    /// after the host fetch).
-    pub fn frees_after(&self, j: usize, keep: StorageId) -> Vec<StorageId> {
-        (0..self.last_use.len())
-            .filter(|&s| !self.persistent[s] && s != keep.0 && self.last_use[s] == Some(j))
-            .map(StorageId)
-            .collect()
+    /// Storages to free immediately after op `j`: the non-persistent
+    /// storages whose last use is `j`, in ascending order, never the loss
+    /// storage (it is freed after the host fetch).
+    pub fn frees_after(&self, j: usize) -> &[StorageId] {
+        &self.free_list[self.free_starts[j]..self.free_starts[j + 1]]
     }
 }
 
@@ -122,7 +137,7 @@ mod tests {
         let g = b.finish();
         let lv = Liveness::analyze(&g, &[x, y], loss);
         let last = g.ops().len() - 1;
-        let frees = lv.frees_after(last, g.tensor(loss).storage);
+        let frees = lv.frees_after(last);
         let sw = g.tensor(w).storage;
         let sl = g.tensor(loss).storage;
         assert!(!frees.contains(&sw), "weights are persistent");

@@ -522,19 +522,43 @@ fn plain_size(values: &[u64]) -> usize {
     values.iter().map(|&v| varint_len(v)).sum()
 }
 
-fn rle_size(values: &[u64]) -> usize {
-    let mut size = 0usize;
-    let mut i = 0usize;
-    while i < values.len() {
-        let v = values[i];
-        let mut run = 1usize;
-        while i + run < values.len() && values[i + run] == v {
-            run += 1;
+/// Exact encoded sizes of one value stream, all from a single pass.
+#[derive(Debug, Clone, Copy)]
+struct Costs {
+    /// Plain varint bytes.
+    plain: usize,
+    /// RLE bytes: a `(run, value)` varint pair per run.
+    rle: usize,
+    /// Bit width of the largest value (0 when all are zero).
+    width: usize,
+    /// Bit-packed bytes: the width byte, then `len × width` bits.
+    pack: usize,
+}
+
+impl Costs {
+    fn of(values: &[u64]) -> Costs {
+        let (mut plain, mut rle, mut width) = (0usize, 0usize, 0usize);
+        if let Some(&first) = values.first() {
+            let (mut cur, mut run) = (first, 0u64);
+            for &v in values {
+                plain += varint_len(v);
+                width = width.max(64 - v.leading_zeros() as usize);
+                if v == cur {
+                    run += 1;
+                } else {
+                    rle += varint_len(run) + varint_len(cur);
+                    (cur, run) = (v, 1);
+                }
+            }
+            rle += varint_len(run) + varint_len(cur);
         }
-        size += varint_len(run as u64) + varint_len(v);
-        i += run;
+        Costs {
+            plain,
+            rle,
+            width,
+            pack: 1 + (values.len() * width).div_ceil(8),
+        }
     }
-    size
 }
 
 fn write_rle(out: &mut Vec<u8>, values: &[u64]) {
@@ -551,35 +575,25 @@ fn write_rle(out: &mut Vec<u8>, values: &[u64]) {
     }
 }
 
-fn pack_width(values: &[u64]) -> usize {
-    values
-        .iter()
-        .map(|v| 64 - v.leading_zeros() as usize)
-        .max()
-        .unwrap_or(0)
-}
-
-fn pack_size(values: &[u64]) -> usize {
-    1 + (values.len() * pack_width(values)).div_ceil(8)
-}
-
-fn write_pack(out: &mut Vec<u8>, values: &[u64]) {
-    let width = pack_width(values);
+/// Bit-packs `values` at `width` bits each, LSB-first, after a width
+/// byte. `width` must be at least the bit length of every value.
+fn write_pack(out: &mut Vec<u8>, values: &[u64], width: usize) {
     out.push(width as u8);
     if width == 0 {
         return;
     }
-    let base = out.len();
-    out.resize(base + (values.len() * width).div_ceil(8), 0);
-    for (i, &v) in values.iter().enumerate() {
-        let bit = i * width;
-        let byte0 = base + bit / 8;
-        let shift = bit % 8;
-        let acc = u128::from(v) << shift;
-        for k in 0..(shift + width).div_ceil(8) {
-            out[byte0 + k] |= ((acc >> (8 * k)) & 0xff) as u8;
+    // `pending` holds `bits` < 64 not yet written; adding ≤ 64 more fits
+    let (mut pending, mut bits) = (0u128, 0usize);
+    for &v in values {
+        pending |= u128::from(v) << bits;
+        bits += width;
+        if bits >= 64 {
+            out.extend_from_slice(&(pending as u64).to_le_bytes());
+            pending >>= 64;
+            bits -= 64;
         }
     }
+    out.extend_from_slice(&pending.to_le_bytes()[..bits.div_ceil(8)]);
 }
 
 /// Encodes one logical value stream with the cheapest encoding (exact
@@ -592,24 +606,22 @@ fn write_pack(out: &mut Vec<u8>, values: &[u64]) {
 /// difference is representable (the delta-of-delta candidate is skipped
 /// otherwise).
 fn encode_values_best(values: &[u64], plain_is_bytes: bool, dod: Option<&[u64]>) -> (u8, Vec<u8>) {
+    let costs = Costs::of(values);
     let mut best_tag = TAG_PLAIN;
     let mut best_size = if plain_is_bytes {
         values.len()
     } else {
-        plain_size(values)
+        costs.plain
     };
-    if rle_size(values) < best_size {
-        best_tag = TAG_RLE;
-        best_size = rle_size(values);
-    }
-    if pack_size(values) < best_size {
-        best_tag = TAG_PACK;
-        best_size = pack_size(values);
-    }
-    if let Some(d) = dod {
-        if plain_size(d) < best_size {
-            best_tag = TAG_DOD;
-            best_size = plain_size(d);
+    let candidates = [
+        (TAG_RLE, Some(costs.rle)),
+        (TAG_PACK, Some(costs.pack)),
+        (TAG_DOD, dod.map(plain_size)),
+    ];
+    for (tag, size) in candidates {
+        if let Some(size) = size.filter(|&size| size < best_size) {
+            best_tag = tag;
+            best_size = size;
         }
     }
     let mut out = Vec::with_capacity(best_size);
@@ -621,7 +633,7 @@ fn encode_values_best(values: &[u64], plain_is_bytes: bool, dod: Option<&[u64]>)
             }
         }
         TAG_RLE => write_rle(&mut out, values),
-        TAG_PACK => write_pack(&mut out, values),
+        TAG_PACK => write_pack(&mut out, values, costs.width),
         _ => {
             for &v in dod.expect("DOD chosen only when the stream exists") {
                 write_u64(&mut out, v);
@@ -735,9 +747,11 @@ mod tests {
                 (1u64 << width) - 1
             };
             let values: Vec<u64> = (0..17).map(|i| max.wrapping_sub(i) & max).collect();
+            let costs = Costs::of(&values);
+            assert_eq!(costs.width, width);
             let mut bytes = Vec::new();
-            write_pack(&mut bytes, &values);
-            assert_eq!(bytes.len(), pack_size(&values), "width {width}");
+            write_pack(&mut bytes, &values, width);
+            assert_eq!(bytes.len(), costs.pack, "width {width}");
             let mut out = Vec::new();
             decode_u64_values(&bytes, (0, bytes.len()), TAG_PACK, values.len(), &mut out).unwrap();
             assert_eq!(out, values, "width {width}");
@@ -749,7 +763,7 @@ mod tests {
         let values = [5u64, 5, 5, 5, 9, 9, 1_000_000, 5];
         let mut bytes = Vec::new();
         write_rle(&mut bytes, &values);
-        assert_eq!(bytes.len(), rle_size(&values));
+        assert_eq!(bytes.len(), Costs::of(&values).rle);
         let mut out = Vec::new();
         decode_u64_values(&bytes, (0, bytes.len()), TAG_RLE, values.len(), &mut out).unwrap();
         assert_eq!(out, values.to_vec());

@@ -318,11 +318,13 @@ impl<W: Write> StoreWriter<W> {
             return;
         }
         let _flush_span = pinpoint_obs::tracer().span_with("store.flush", self.chunks.len() as u64);
+        let encode_span = pinpoint_obs::tracer().span("store.encode");
         let (bytes, mut meta) = if self.version >= 3 {
             encode_chunk_v3(&self.pending)
         } else {
             encode_chunk(&self.pending)
         };
+        drop(encode_span);
         let result = if self.version >= 2 {
             if bytes.len() > u32::MAX as usize {
                 Err(io::Error::new(

@@ -2,16 +2,17 @@
 //! integration boundary: span-tree structure must be identical at every
 //! thread count (the determinism contract extended to the tracer), the
 //! disabled tracer must cost nothing on the store's zero-alloc scan
-//! path, and the CLI's `--trace-out` Chrome trace must round-trip the
-//! span hierarchy through the in-repo JSON parser.
+//! path, the CLI's `--trace-out` Chrome trace must round-trip the
+//! span hierarchy through the in-repo JSON parser, and a traced profile
+//! must record the producer's compile, iteration and encode spans.
 
 use pinpoint::analysis::{report_json, OutlierCriteria};
 use pinpoint::core::report::TraceReport;
-use pinpoint::core::{profile, ProfileConfig};
+use pinpoint::core::{profile, profile_into_sink, ProfileConfig};
 use pinpoint::data::DatasetSpec;
 use pinpoint::models::{Architecture, ResNetDepth};
 use pinpoint::obs::tracer;
-use pinpoint::store::StoreReader;
+use pinpoint::store::{StoreReader, StoreWriter};
 use pinpoint::trace::json::{parse, Json};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -171,6 +172,61 @@ fn disabled_tracer_adds_nothing_to_the_warm_scan_path() {
     assert!(t.snapshot().is_empty());
 }
 
+#[test]
+fn traced_profile_records_producer_spans() {
+    let _g = obs_lock();
+    let iterations = 5;
+    let cfg = ProfileConfig::mlp_case_study(iterations);
+    let path =
+        std::env::temp_dir().join(format!("pinpoint_obs_producer_{}.ptrc", std::process::id()));
+    // fine chunks, so the run flushes several of them
+    let profile_to_store = || {
+        let file = std::io::BufWriter::new(std::fs::File::create(&path).unwrap());
+        let writer = StoreWriter::with_chunk_events(file, 256).unwrap();
+        profile_into_sink(&cfg, Box::new(writer)).unwrap();
+        StoreReader::open(&path).unwrap().num_chunks() as u64
+    };
+    let t = tracer();
+
+    // off: the producer records nothing
+    t.set_enabled(false);
+    t.clear();
+    let records_before = t.total_records();
+    profile_to_store();
+    assert_eq!(
+        t.total_records(),
+        records_before,
+        "disabled tracer recorded spans"
+    );
+
+    t.clear();
+    t.set_enabled(true);
+    let chunks = profile_to_store();
+    let snap = t.snapshot();
+    t.set_enabled(false);
+    t.clear();
+
+    let count = |name: &str| {
+        snap.totals_by_name()
+            .into_iter()
+            .find(|(n, _, _)| *n == name)
+            .map_or(0, |(_, c, _)| c)
+    };
+    assert_eq!(count("nn.compile"), 1);
+    assert_eq!(count("nn.iteration"), iterations as u64);
+    assert!(chunks > 1, "fixture must span several chunks, got {chunks}");
+    assert_eq!(count("store.flush"), chunks);
+    assert_eq!(count("store.encode"), chunks);
+    assert!(
+        snap.relative_paths("store.flush")
+            .iter()
+            .any(|(p, c)| p == "store.flush;store.encode" && *c == chunks),
+        "every encode must nest under its flush: {:?}",
+        snap.relative_paths("store.flush")
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
 /// Rebuilds every span's `;`-joined ancestor path from a Chrome trace's
 /// events: grouped by `tid`, ordered by the exported open ticket, nested
 /// by the exported depth — no timestamp containment needed.
@@ -233,6 +289,7 @@ fn anchored(paths: &[String], anchor: &str) -> Vec<String> {
 
 #[test]
 fn trace_out_round_trips_span_hierarchy_at_any_thread_count() {
+    let _g = obs_lock();
     let store = resnet18_store("chrome");
     let tool = bin("pinpoint-trace-tool");
     if !tool.exists() {
@@ -315,6 +372,7 @@ fn trace_out_round_trips_span_hierarchy_at_any_thread_count() {
 
 #[test]
 fn query_timing_reports_store_stages() {
+    let _g = obs_lock();
     let store = mlp_store("query");
     let tool = bin("pinpoint-trace-tool");
     if !tool.exists() {
